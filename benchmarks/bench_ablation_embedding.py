@@ -7,13 +7,13 @@ neighbored access tree nodes", at the price of dependencies the theory
 does not cover ("we have not recognized any bad effects").
 """
 
-from conftest import emit, once
+from conftest import emit
 
-from repro.analysis import ablation_embedding, format_table
+from repro.analysis import format_table
 
 
-def test_ablation_embedding_matmul(benchmark):
-    rows = once(benchmark, lambda: ablation_embedding(workload="matmul", side=8, size=1024))
+def test_ablation_embedding_matmul(experiment):
+    rows = experiment("ablation-embedding", workload="matmul").rows
     columns = ["embedding", "congestion_bytes", "total_bytes", "time"]
     emit(
         "ablation_embedding_matmul",
@@ -31,8 +31,8 @@ def test_ablation_embedding_matmul(benchmark):
     assert d["modified"]["time"] < d["random"]["time"]
 
 
-def test_ablation_embedding_bitonic(benchmark):
-    rows = once(benchmark, lambda: ablation_embedding(workload="bitonic", side=8, size=1024))
+def test_ablation_embedding_bitonic(experiment):
+    rows = experiment("ablation-embedding", workload="bitonic").rows
     columns = ["embedding", "congestion_bytes", "total_bytes", "time"]
     emit(
         "ablation_embedding_bitonic",

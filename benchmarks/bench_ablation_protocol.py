@@ -11,13 +11,13 @@
   not reduce congestion but does add migration overhead.
 """
 
-from conftest import emit, once
+from conftest import emit
 
-from repro.analysis import ablation_invalidation, ablation_remapping, format_table
+from repro.analysis import format_table
 
 
-def test_ablation_invalidation(benchmark):
-    rows = once(benchmark, lambda: ablation_invalidation(side=8, block_entries=1024))
+def test_ablation_invalidation(experiment):
+    rows = experiment("ablation-invalidation").rows
     columns = ["strategy", "variant", "congestion_bytes", "ctrl_msgs", "time"]
     emit(
         "ablation_invalidation",
@@ -36,10 +36,10 @@ def test_ablation_invalidation(benchmark):
         assert d[(strategy, "square")]["ctrl_msgs"] > 1.3 * d[(strategy, "general")]["ctrl_msgs"]
 
 
-def test_ablation_remapping(benchmark):
-    rows = once(
-        benchmark, lambda: ablation_remapping(side=8, thresholds=(None, 16, 4))
-    )
+def test_ablation_remapping(experiment):
+    rows = experiment(
+        "ablation-remapping", param_overrides={"thresholds": (None, 16, 4)}
+    ).rows
     columns = ["remap_threshold", "remaps", "congestion_bytes", "time"]
     emit(
         "ablation_remapping",

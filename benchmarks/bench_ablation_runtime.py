@@ -8,13 +8,13 @@
   per-processor capacity reproduces the effect at small scale.
 """
 
-from conftest import emit, once
+from conftest import emit
 
-from repro.analysis import ablation_barrier, bounded_memory_experiment, format_table
+from repro.analysis import format_table
 
 
-def test_ablation_barrier(benchmark):
-    rows = once(benchmark, lambda: ablation_barrier(side=8, keys=1024))
+def test_ablation_barrier(experiment):
+    rows = experiment("ablation-barrier").rows
     columns = ["barrier", "congestion_bytes", "time", "max_startups"]
     emit(
         "ablation_barrier",
@@ -31,8 +31,8 @@ def test_ablation_barrier(benchmark):
     assert d["tree"]["max_startups"] <= d["central"]["max_startups"]
 
 
-def test_bounded_memory_replacement(benchmark):
-    rows = once(benchmark, lambda: bounded_memory_experiment(side=4, bodies=256))
+def test_bounded_memory_replacement(experiment):
+    rows = experiment("bounded-memory").rows
     columns = ["capacity_copies", "congestion_msgs", "evictions", "time"]
     emit(
         "bounded_memory",

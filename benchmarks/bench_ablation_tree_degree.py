@@ -9,17 +9,13 @@ the 2-4-ary access tree strategy perform slightly better than the 4-ary
 strategy" because the circuit's locality matches the 2-ary decomposition.
 """
 
-from conftest import emit, once
+from conftest import emit
 
-from repro.analysis import ablation_tree_degree, format_table
-
-VARIANTS = ("2-ary", "2-4-ary", "4-ary", "4-16-ary", "16-ary")
+from repro.analysis import format_table
 
 
-def test_ablation_tree_degree_matmul(benchmark):
-    rows = once(
-        benchmark, lambda: ablation_tree_degree(workload="matmul", side=8, size=1024, variants=VARIANTS)
-    )
+def test_ablation_tree_degree_matmul(experiment):
+    rows = experiment("ablation-tree-degree", workload="matmul").rows
     columns = ["strategy", "congestion_bytes", "time", "max_startups"]
     emit(
         "ablation_tree_degree_matmul",
@@ -41,10 +37,8 @@ def test_ablation_tree_degree_matmul(benchmark):
     assert d["4-ary"]["time"] <= d["2-ary"]["time"]
 
 
-def test_ablation_tree_degree_bitonic(benchmark):
-    rows = once(
-        benchmark, lambda: ablation_tree_degree(workload="bitonic", side=8, size=1024, variants=VARIANTS)
-    )
+def test_ablation_tree_degree_bitonic(experiment):
+    rows = experiment("ablation-tree-degree", workload="bitonic").rows
     columns = ["strategy", "congestion_bytes", "time", "max_startups"]
     emit(
         "ablation_tree_degree_bitonic",

@@ -7,14 +7,13 @@ communication share of the phase time is smaller for the 4-ary tree
 line -- local computation time -- is strategy-independent.
 """
 
-from conftest import emit, once
+from conftest import emit
 
-from repro.analysis import PAPER, fig9_fig10_phase_views, format_table
+from repro.analysis import PAPER, format_table
 
 
-def test_fig10_force_phase(benchmark, fig8_rows):
-    p, rows = fig8_rows
-    _, fig10 = once(benchmark, lambda: fig9_fig10_phase_views(rows))
+def test_fig10_force_phase(experiment):
+    fig10 = experiment("fig10").rows  # Figure 8's cells, from the session cache
 
     columns = ["strategy", "bodies", "congestion_msgs", "time", "local_compute", "comm_share"]
     emit(

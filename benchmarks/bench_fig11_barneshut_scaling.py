@@ -6,22 +6,14 @@ number of processors -- time ratio about 49% and communication-time ratio
 about 33% at 512 processors.
 """
 
-from conftest import emit, once
+from conftest import emit
 
-from repro.analysis import PAPER, fig11_barneshut_scaling, format_table, scale_params
+from repro.analysis import PAPER, format_table
 
 
-def test_fig11_barneshut_scaling(benchmark):
-    p = scale_params("fig11")
-    rows = once(
-        benchmark,
-        lambda: fig11_barneshut_scaling(
-            meshes=p["meshes"],
-            bodies_per_proc=p["bodies_per_proc"],
-            steps=p["steps"],
-            warm=p["warm"],
-        ),
-    )
+def test_fig11_barneshut_scaling(experiment):
+    run = experiment("fig11")
+    p, rows = run.params, run.rows
     columns = ["strategy", "mesh", "procs", "bodies", "congestion_msgs", "time", "comm_time"]
     emit(
         "fig11",

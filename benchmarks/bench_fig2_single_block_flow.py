@@ -7,16 +7,13 @@ access tree -- hence congestion Theta(m*P / sqrtP) vs Theta(m*sqrtP*logP /
 sqrtP).  This microbenchmark reproduces that single-variable flow.
 """
 
-from conftest import emit, once
+from conftest import emit
 
-from repro.analysis import fig2_single_block_flow, format_table, scale_params
+from repro.analysis import format_table
 
 
-def test_fig2_single_block_flow(benchmark):
-    p = scale_params("fig2")
-    rows = once(
-        benchmark, lambda: fig2_single_block_flow(side=p["side"], block_entries=p["block_entries"])
-    )
+def test_fig2_single_block_flow(experiment):
+    rows = experiment("fig2").rows
 
     columns = ["strategy", "mesh", "total_bytes", "congestion_bytes", "time"]
     emit(

@@ -8,14 +8,14 @@ size; time ratios below congestion ratios; access tree about twice as fast
 as fixed home.
 """
 
-from conftest import emit, once
+from conftest import emit
 
-from repro.analysis import PAPER, fig3_matmul_blocksize, format_table, scale_params
+from repro.analysis import PAPER, format_table
 
 
-def test_fig3_matmul_blocksize(benchmark):
-    p = scale_params("fig3")
-    rows = once(benchmark, lambda: fig3_matmul_blocksize(side=p["side"], blocks=p["blocks"]))
+def test_fig3_matmul_blocksize(experiment):
+    run = experiment("fig3")
+    p, rows = run.params, run.rows
 
     ref = PAPER["fig3"]
     for row in rows:

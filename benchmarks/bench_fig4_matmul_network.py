@@ -6,17 +6,14 @@ like Theta(sqrt P) (5.56 -> 47.98), the access tree like Theta(log P)
 network (99% -> 28% of fixed home's time).
 """
 
-from conftest import emit, once
+from conftest import emit
 
-from repro.analysis import PAPER, fig4_matmul_network, format_table, scale_params
+from repro.analysis import PAPER, format_table
 
 
-def test_fig4_matmul_network(benchmark):
-    p = scale_params("fig4")
-    rows = once(
-        benchmark,
-        lambda: fig4_matmul_network(sides=p["sides"], block_entries=p["block_entries"]),
-    )
+def test_fig4_matmul_network(experiment):
+    run = experiment("fig4")
+    p, rows = run.params, run.rows
 
     ref = PAPER["fig4"]
     for row in rows:

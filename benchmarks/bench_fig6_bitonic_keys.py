@@ -7,14 +7,14 @@ time ratio sits *above* its congestion ratio for small keys (startup
 overhead vs the hand-optimized exchange).
 """
 
-from conftest import emit, once
+from conftest import emit
 
-from repro.analysis import PAPER, fig6_bitonic_keys, format_table, scale_params
+from repro.analysis import PAPER, format_table
 
 
-def test_fig6_bitonic_keys(benchmark):
-    p = scale_params("fig6")
-    rows = once(benchmark, lambda: fig6_bitonic_keys(side=p["side"], keys=p["keys"]))
+def test_fig6_bitonic_keys(experiment):
+    run = experiment("fig6")
+    p, rows = run.params, run.rows
 
     ref = PAPER["fig6"]
     for row in rows:

@@ -6,14 +6,14 @@ Paper (4096 keys/proc): fixed-home congestion ratio grows ~log^2 P
 decomposition, so the access tree is asymptotically optimal here.
 """
 
-from conftest import emit, once, paper_shapes
+from conftest import emit, paper_shapes
 
-from repro.analysis import PAPER, fig7_bitonic_network, format_table, scale_params
+from repro.analysis import PAPER, format_table
 
 
-def test_fig7_bitonic_network(benchmark):
-    p = scale_params("fig7")
-    rows = once(benchmark, lambda: fig7_bitonic_network(sides=p["sides"], keys=p["keys"]))
+def test_fig7_bitonic_network(experiment):
+    run = experiment("fig7")
+    p, rows = run.params, run.rows
 
     ref = PAPER["fig7"]
     for row in rows:

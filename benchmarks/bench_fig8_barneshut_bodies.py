@@ -8,14 +8,14 @@ overhead.  (The 2-ary kink at 60k bodies from copy replacement is covered
 by the bounded-memory ablation.)
 """
 
-from conftest import emit, once, paper_shapes
+from conftest import emit, paper_shapes
 
 from repro.analysis import PAPER, format_table
 
 
-def test_fig8_barneshut_bodies(benchmark, fig8_rows):
-    p, rows = fig8_rows
-    rows = once(benchmark, lambda: rows)  # timing happened in the fixture
+def test_fig8_barneshut_bodies(experiment):
+    run = experiment("fig8")
+    p, rows = run.params, run.rows
 
     columns = ["strategy", "bodies", "congestion_msgs", "time", "hit_rate"]
     emit(

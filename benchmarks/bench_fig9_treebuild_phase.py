@@ -6,14 +6,13 @@ one by one, giving the fixed home a large congestion offset; access trees
 distribute the root through their multicast trees.
 """
 
-from conftest import emit, once, paper_shapes
+from conftest import emit, paper_shapes
 
-from repro.analysis import PAPER, fig9_fig10_phase_views, format_table
+from repro.analysis import PAPER, format_table
 
 
-def test_fig9_treebuild_phase(benchmark, fig8_rows):
-    p, rows = fig8_rows
-    fig9, _ = once(benchmark, lambda: fig9_fig10_phase_views(rows))
+def test_fig9_treebuild_phase(experiment):
+    fig9 = experiment("fig9").rows  # Figure 8's cells, from the session cache
 
     columns = ["strategy", "bodies", "congestion_msgs", "time"]
     emit(

@@ -18,37 +18,20 @@ expectations the xstrat experiment established:
   directory cost -- while the access trees keep the congestion crown.
 """
 
-from conftest import emit, once, paper_shapes
+from conftest import emit, paper_shapes
 
 from repro.analysis import format_table
-from repro.analysis.experiments import scale_params, xstrat_cell
 
 TOPOLOGIES = ("mesh", "torus", "hypercube")
 STRATEGIES = ("fixed-home", "4-ary", "2-4-ary", "migratory", "dynrep")
 
 
-def test_xstrat_strategies(benchmark):
-    p = scale_params("xstrat")
-
-    def run():
-        rows = []
-        for topology in TOPOLOGIES:
-            for name in STRATEGIES:
-                rows.extend(xstrat_cell(
-                    workload="bitonic", strategy=name, topology=topology,
-                    side=p["side"], params={"keys": p["keys"]}, seed=0,
-                ))
-                for read_frac in (0.9, 0.5):
-                    rows.extend(xstrat_cell(
-                        workload="zipf", strategy=name, topology=topology,
-                        side=p["side"],
-                        params={"ops": p["ops"], "alpha": 0.8,
-                                "read_frac": read_frac},
-                        seed=0,
-                    ))
-        return rows
-
-    rows = once(benchmark, run)
+def test_xstrat_strategies(experiment):
+    run = experiment("xstrat")
+    p = run.params
+    # The bench table covers bitonic + zipf on every topology; the
+    # experiment's mesh-only matmul rows are left to `python -m repro xstrat`.
+    rows = [r for r in run.rows if r["workload"] != "matmul"]
     columns = ["workload", "topology", "strategy", "read_frac",
                "congestion_bytes", "total_bytes", "time", "hit_rate"]
     emit(

@@ -4,7 +4,9 @@ Every benchmark regenerates one figure of the paper at the scale selected
 by ``REPRO_SCALE`` (``default`` if unset; ``paper`` for the paper's exact
 parameters -- slow in pure Python; ``quick`` for smoke runs), prints a
 paper-vs-measured table, asserts the figure's *shape*, and records the
-table under ``benchmarks/results/`` for EXPERIMENTS.md.  When the caller
+table under ``benchmarks/results/`` for EXPERIMENTS.md.  Figures run
+through the experiment registry (:func:`repro.exp.run_experiment`), the
+same path as ``python -m repro``, with one result cache per session.  When the caller
 passes the rows, the JSON form is persisted next to the text table as
 ``<name>.<scale>.bench.json`` (same schema as ``python -m repro --json``,
 which owns the plain ``<name>.<scale>.json`` stem) so
@@ -51,20 +53,30 @@ def emit(
 
 
 @pytest.fixture(scope="session")
-def fig8_rows():
-    """Shared Figure 8 runs (Figures 9 and 10 are phase views of the same
-    executions, exactly as in the paper)."""
-    from repro.analysis import fig8_barneshut_bodies, scale_params
+def cells(tmp_path_factory):
+    """One cell cache for the whole session: experiments that share cells
+    compute each once (Figures 9 and 10 are phase views of the Figure 8
+    runs, exactly as in the paper)."""
+    from repro.exp import ResultCache
 
-    p = scale_params("fig8")
-    return p, fig8_barneshut_bodies(
-        side=p["side"], bodies=p["bodies"], steps=p["steps"], warm=p["warm"]
-    )
+    return ResultCache(tmp_path_factory.mktemp("cells"))
 
 
 def once(benchmark, fn):
     """Run a deterministic experiment exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+@pytest.fixture
+def experiment(benchmark, cells):
+    """``experiment(name, **kw)``: run one registered experiment once
+    under pytest-benchmark through the session cache (keyword arguments
+    go to :func:`repro.exp.run_experiment`); returns the ExperimentRun."""
+    from repro.exp import run_experiment
+
+    return lambda name, **kw: once(
+        benchmark, lambda: run_experiment(name, cache=cells, **kw)
+    )
 
 
 def paper_shapes() -> bool:

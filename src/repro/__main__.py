@@ -299,11 +299,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "a trace command, or a serve command")
     parser.add_argument("--scale", choices=["quick", "default", "paper"], default=None,
                         help="parameter scale (default: $REPRO_SCALE or 'default')")
-    parser.add_argument("--workload", "--app", choices=workloads, default="matmul",
-                        dest="workload", metavar="NAME",
+    parser.add_argument("--workload", choices=workloads, default="matmul",
+                        metavar="NAME",
                         help="workload for the workload-sensitive experiments "
-                             f"and trace-record ({', '.join(workloads)}; "
-                             "--app is the deprecated alias)")
+                             f"and trace-record ({', '.join(workloads)})")
     parser.add_argument("--topology", choices=list(TOPOLOGY_KINDS), default=None,
                         help="interconnect for topology-sensitive experiments "
                              "(bitonic figures, ablations, xwork-readfrac, "

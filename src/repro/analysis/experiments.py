@@ -1,24 +1,21 @@
-"""Experiment runners: one function per figure of the paper's evaluation.
+"""Experiment cells: the unit of work behind every figure of the paper.
 
-Every runner returns a list of row dicts (strategy, sweep parameter,
-congestion, time, ratios) ready for :func:`repro.analysis.tables.format_table`
-and for the benchmark harness's shape assertions.
+Every figure and ablation is declared once, in :mod:`repro.exp.registry`,
+as a grid of **cell functions** (``*_cell``) defined here -- pure
+functions of JSON-serializable parameters that each perform one
+independent simulation run (or one tightly coupled group such as a
+hand-optimized baseline plus the strategies measured against it) and
+return serializable row dicts (strategy, sweep parameter, congestion,
+time, ratios).  Cells are what the :mod:`repro.exp` orchestrator shards
+across the ``multiprocessing`` pool and content-addresses in the result
+cache, so a cell must never hide a sweep loop; run a figure with
+:func:`repro.exp.run_experiment`.
 
-Structure: each runner is a thin loop over module-level **cell functions**
-(``*_cell``) -- pure functions of JSON-serializable parameters that each
-perform one independent simulation run (or one tightly coupled group such
-as a hand-optimized baseline plus the strategies measured against it) and
-return serializable rows.  The cell functions are the unit of work of the
-:mod:`repro.exp` orchestrator: they are what gets sharded across the
-``multiprocessing`` pool and content-addressed by the result cache, so a
-runner must never hide a loop inside a cell.
-
-Scaling: the runners take explicit parameters with defaults chosen so the
-whole suite finishes in minutes of pure Python; :func:`scale_params`
-resolves the ``REPRO_SCALE`` environment variable (``quick`` / ``default``
-/ ``paper``) into the per-figure parameter sets, where ``paper`` is the
-paper's exact configuration (Barnes-Hut at paper scale runs for hours in
-pure Python -- documented in EXPERIMENTS.md).
+Scaling: :func:`scale_params` resolves the ``REPRO_SCALE`` environment
+variable (``quick`` / ``default`` / ``paper``) into the per-figure
+parameter sets, where ``paper`` is the paper's exact configuration
+(Barnes-Hut at paper scale runs for hours in pure Python -- documented in
+EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -37,21 +34,6 @@ from ..workloads import get_workload
 
 __all__ = [
     "scale_params",
-    "fig2_single_block_flow",
-    "fig3_matmul_blocksize",
-    "fig4_matmul_network",
-    "fig6_bitonic_keys",
-    "fig7_bitonic_network",
-    "fig8_barneshut_bodies",
-    "fig9_fig10_phase_views",
-    "fig11_barneshut_scaling",
-    "ablation_tree_degree",
-    "ablation_embedding",
-    "ablation_barrier",
-    "ablation_invalidation",
-    "ablation_remapping",
-    "bounded_memory_experiment",
-    # cell functions (the repro.exp orchestrator's unit of work)
     "fig2_cell",
     "matmul_cell",
     "bitonic_cell",
@@ -260,25 +242,6 @@ def fig2_cell(
     ]
 
 
-def fig2_single_block_flow(
-    side: int = 16,
-    block_entries: int = 1024,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 2 (analytic): the data flow for distributing ONE block to its
-    row and column.  The paper derives total load Theta(m*P) for fixed home
-    vs Theta(m*sqrtP*logP) for the access tree.  We create a single
-    variable on a center processor and let every processor of its row and
-    column read it once; total load and congestion are reported."""
-    rows: List[Row] = []
-    for name in ("fixed-home", "4-ary"):
-        rows.extend(
-            fig2_cell(name, side=side, block_entries=block_entries, machine=machine, seed=seed)
-        )
-    return rows
-
-
 # --------------------------------------------------------------------- fig 3
 def matmul_cell(
     side: int,
@@ -325,35 +288,6 @@ def matmul_cell(
                 **res.metrics.to_row(),
             }
         )
-    return rows
-
-
-def fig3_matmul_blocksize(
-    side: int = 16,
-    blocks: Sequence[int] = (64, 256, 1024, 4096),
-    strategies: Sequence[str] = ("fixed-home", "4-ary"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 3: matmul congestion/communication-time ratios vs block size
-    on a fixed mesh (communication time: compute charges disabled)."""
-    rows: List[Row] = []
-    for block in blocks:
-        rows.extend(matmul_cell(side, block, strategies, machine, seed))
-    return rows
-
-
-def fig4_matmul_network(
-    sides: Sequence[int] = (4, 8, 16, 32),
-    block_entries: int = 4096,
-    strategies: Sequence[str] = ("fixed-home", "4-ary"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 4: matmul ratios vs network size at a fixed block size."""
-    rows: List[Row] = []
-    for side in sides:
-        rows.extend(matmul_cell(side, block_entries, strategies, machine, seed))
     return rows
 
 
@@ -419,38 +353,7 @@ def bitonic_cell(
     return rows
 
 
-def fig6_bitonic_keys(
-    side: int = 16,
-    keys: Sequence[int] = (256, 1024, 4096, 16384),
-    strategies: Sequence[str] = ("fixed-home", "2-4-ary"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 6: bitonic congestion/execution-time ratios vs keys/processor."""
-    rows: List[Row] = []
-    for m in keys:
-        rows.extend(bitonic_cell(side, m, strategies, machine, seed))
-    return rows
-
-
-def fig7_bitonic_network(
-    sides: Sequence[int] = (4, 8, 16, 32),
-    keys: int = 4096,
-    strategies: Sequence[str] = ("fixed-home", "2-4-ary"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 7: bitonic ratios vs network size at fixed keys/processor."""
-    rows: List[Row] = []
-    for side in sides:
-        rows.extend(bitonic_cell(side, keys, strategies, machine, seed))
-    return rows
-
-
 # --------------------------------------------------------------------- fig 8
-FIG8_STRATEGIES = ("fixed-home", "16-ary", "4-16-ary", "4-ary", "2-ary")
-
-
 def _barneshut_row(
     mesh: Mesh2D,
     strategy: str,
@@ -510,29 +413,6 @@ def barneshut_cell(
     return [row]
 
 
-def fig8_barneshut_bodies(
-    side: int = 8,
-    bodies: Sequence[int] = (400, 800, 1200),
-    strategies: Sequence[str] = FIG8_STRATEGIES,
-    steps: int = 3,
-    warm: int = 1,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 8: Barnes-Hut absolute congestion (messages) and execution
-    time vs body count, for all five strategies.  Rows carry the full
-    :class:`RunResult` (key ``result``) so Figures 9/10 can be derived
-    without re-running."""
-    rows: List[Row] = []
-    mesh = Mesh2D(side, side)
-    for n in bodies:
-        for name in strategies:
-            row, res = _barneshut_row(mesh, name, n, steps, warm, machine, seed)
-            row["result"] = res
-            rows.append(row)
-    return rows
-
-
 def fig9_rows_from_cells(rows: Iterable[Row]) -> List[Row]:
     """Figure 9 (tree-building phase) projected from Barnes-Hut cell rows."""
     return [
@@ -567,14 +447,6 @@ def fig10_rows_from_cells(rows: Iterable[Row]) -> List[Row]:
     ]
 
 
-def fig9_fig10_phase_views(fig8_rows: Iterable[Row]) -> Tuple[List[Row], List[Row]]:
-    """Figures 9 and 10: per-phase views (tree building / force
-    computation) of the Figure 8 runs, including the force phase's local
-    computation time (the extra line in Figure 10)."""
-    rows = list(fig8_rows)
-    return fig9_rows_from_cells(rows), fig10_rows_from_cells(rows)
-
-
 def barneshut_scaling_cell(
     strategy: str,
     mesh_rows: int,
@@ -604,41 +476,6 @@ def barneshut_scaling_cell(
             **res.metrics.to_row(),
         }
     ]
-
-
-def fig11_barneshut_scaling(
-    meshes: Sequence[Tuple[int, int]] = ((4, 4), (4, 8), (8, 8)),
-    bodies_per_proc: int = 50,
-    strategies: Sequence[str] = ("fixed-home", "4-8-ary"),
-    steps: int = 3,
-    warm: int = 1,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 11: Barnes-Hut scaling with N = bodies_per_proc * P over
-    growing meshes; reports congestion, execution time and communication
-    time (execution minus force-phase local computation)."""
-    rows: List[Row] = []
-    for r, c in meshes:
-        mesh = Mesh2D(r, c)
-        n = bodies_per_proc * mesh.n_nodes
-        for name in strategies:
-            row, res = _barneshut_row(mesh, name, n, steps, warm, machine, seed)
-            rows.append(
-                {
-                    "strategy": name,
-                    "workload": "barneshut",
-                    "mesh": f"{r}x{c}",
-                    "procs": mesh.n_nodes,
-                    "bodies": n,
-                    "congestion_msgs": res.congestion_msgs,
-                    "time": res.time,
-                    "comm_time": res.time - row["force_local_compute"],
-                    "result": res,
-                    **res.metrics.to_row(),
-                }
-            )
-    return rows
 
 
 # ----------------------------------------------------------------- ablations
@@ -692,24 +529,6 @@ def tree_degree_cell(
     ]
 
 
-def ablation_tree_degree(
-    workload: str = "matmul",
-    side: int = 8,
-    size: int = 1024,
-    variants: Sequence[str] = ("2-ary", "2-4-ary", "4-ary", "4-16-ary", "16-ary"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Tree-degree ablation (Sections 3.1/3.2): smaller degree gives
-    smaller congestion, but flat trees save startups; 4-ary wins matmul
-    time, 2-ary/2-4-ary win bitonic."""
-    rows: List[Row] = []
-    for name in variants:
-        rows.extend(tree_degree_cell(name, workload=workload, side=side, size=size,
-                                     machine=machine, seed=seed))
-    return rows
-
-
 def embedding_cell(
     embedding: str,
     workload: str = "matmul",
@@ -734,23 +553,6 @@ def embedding_cell(
             **res.metrics.to_row(),
         }
     ]
-
-
-def ablation_embedding(
-    workload: str = "matmul",
-    side: int = 8,
-    size: int = 1024,
-    strategy: str = "4-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Modified vs random embedding (Section 2's practical improvement):
-    the modified embedding shortens expected tree-edge distances."""
-    rows: List[Row] = []
-    for embedding in ("modified", "random"):
-        rows.extend(embedding_cell(embedding, workload=workload, side=side, size=size,
-                                   strategy=strategy, machine=machine, seed=seed))
-    return rows
 
 
 def invalidation_cell(
@@ -781,27 +583,6 @@ def invalidation_cell(
             **res.metrics.to_row(),
         }
     ]
-
-
-def ablation_invalidation(
-    side: int = 8,
-    block_entries: int = 1024,
-    strategies: Sequence[str] = ("4-ary", "fixed-home"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Matrix *square* vs general multiplication: the paper chose squaring
-    "because the matrix square requires the data management strategy to
-    create and invalidate copies whereas the general matrix multiplication
-    does not".  This ablation quantifies the consistency-maintenance share
-    of the dynamic strategies' traffic."""
-    rows: List[Row] = []
-    for name in strategies:
-        for variant in ("square", "general"):
-            rows.extend(invalidation_cell(name, variant, side=side,
-                                          block_entries=block_entries,
-                                          machine=machine, seed=seed))
-    return rows
 
 
 def remapping_cell(
@@ -848,33 +629,6 @@ def remapping_cell(
     ]
 
 
-def ablation_remapping(
-    side: int = 8,
-    payload: int = 1024,
-    rounds: int = 8,
-    thresholds: Sequence[Optional[int]] = (None, 64, 16, 4),
-    strategy: str = "4-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Access-tree node remapping (omitted by the paper): re-randomize a
-    tree node's host after ``threshold`` stops.
-
-    The paper's applications never make a tree node hot (path replication
-    serves later readers locally -- matmul's interior nodes see <= 3 stops
-    each), so the ablation uses the one pattern that does: a single
-    variable repeatedly broadcast-read by every processor and invalidated
-    by its owner (the Barnes-Hut root-cell pattern).  The paper's
-    conjecture -- "the constant overhead induced by this procedure will
-    not be retained in practice" -- can then be checked on measured time."""
-    rows: List[Row] = []
-    for threshold in thresholds:
-        rows.extend(remapping_cell(threshold, side=side, payload=payload,
-                                   rounds=rounds, strategy=strategy,
-                                   machine=machine, seed=seed))
-    return rows
-
-
 def barrier_cell(
     kind: str,
     side: int = 8,
@@ -900,21 +654,6 @@ def barrier_cell(
             **res.metrics.to_row(),
         }
     ]
-
-
-def ablation_barrier(
-    side: int = 8,
-    keys: int = 1024,
-    strategy: str = "2-4-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Tree-combining vs central barrier (DIVA synchronization service)."""
-    rows: List[Row] = []
-    for kind in ("tree", "central"):
-        rows.extend(barrier_cell(kind, side=side, keys=keys, strategy=strategy,
-                                 machine=machine, seed=seed))
-    return rows
 
 
 def bounded_memory_cell(
@@ -1253,19 +992,3 @@ def xadapt_cell(
     ]
 
 
-def bounded_memory_experiment(
-    side: int = 4,
-    bodies: int = 256,
-    capacity_copies: Sequence[Optional[float]] = (None, 64, 24),
-    strategy: str = "2-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """LRU replacement under bounded memory (the Figure 8 kink of the 2-ary
-    tree at 60,000 bodies): shrinking capacity forces copy replacement,
-    raising congestion."""
-    rows: List[Row] = []
-    for cap in capacity_copies:
-        rows.extend(bounded_memory_cell(cap, side=side, bodies=bodies,
-                                        strategy=strategy, machine=machine, seed=seed))
-    return rows

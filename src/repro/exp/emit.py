@@ -42,10 +42,10 @@ shared ``MetricsBundle.to_row()``, plus the ``xadapt`` rows' ``drift``
 field (v5/v6 simulated quantities are byte-identical, the new columns
 ride along).
 
-Sanitization policy: non-serializable row fields (e.g. the ``result``
-:class:`~repro.runtime.results.RunResult` objects some legacy runners
-attach) are stripped **here**, at the emit layer -- formatting and
-emission must never mutate the rows the experiment produced.
+Sanitization policy: non-serializable row fields (e.g. a live
+:class:`~repro.runtime.results.RunResult` a caller attached to its rows)
+are stripped **here**, at the emit layer -- formatting and emission must
+never mutate the rows the experiment produced.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ data, a cell can be
 * content-addressed for the result cache (:func:`cell_key`).
 
 An :class:`ExperimentSpec` declares one figure or ablation of the paper:
-how CLI-level parameters (scale, app) resolve to concrete parameters, how
-those parameters expand into cells, and how the cell rows are turned into
+how CLI-level parameters (scale, workload) resolve to concrete parameters,
+how those parameters expand into cells, and how the cell rows are turned into
 the displayed table (columns, title, optional derivation step -- Figures
 9/10 are derivations of the Figure 8 cells, so they share cache entries).
 """
@@ -144,11 +144,10 @@ class ExperimentSpec:
         cell rows (e.g. Figures 9/10 project phase columns out of the
         Figure 8 cells).
     uses_workload:
-        Whether the ``--workload`` CLI axis (historic alias ``--app``)
-        changes the experiment (the tree-degree and embedding ablations
-        run any registered workload); result files for a non-default
-        workload get a workload-suffixed name so axis values don't
-        overwrite each other.
+        Whether the ``--workload`` CLI axis changes the experiment (the
+        tree-degree and embedding ablations run any registered workload);
+        result files for a non-default workload get a workload-suffixed
+        name so axis values don't overwrite each other.
     uses_topology:
         Whether the ``--topology`` CLI axis changes the experiment: the
         resolved parameters gain a ``"topology"`` key the cell builder

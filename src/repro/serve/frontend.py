@@ -100,18 +100,20 @@ class ServeFrontend:
     async def _client(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         wlock = asyncio.Lock()
-        tasks = []
+        # Requests still being answered; each task leaves on completion,
+        # so a long-lived connection holds only its in-flight requests.
+        tasks = set()
         try:
             while True:
                 line = await reader.readline()
                 if not line:
                     break
-                tasks.append(asyncio.create_task(
-                    self._handle(line, writer, wlock)))
+                task = asyncio.create_task(self._handle(line, writer, wlock))
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
         finally:
-            for t in tasks:
-                if not t.done():
-                    t.cancel()
+            for t in list(tasks):
+                t.cancel()
             writer.close()
 
     async def _handle(self, line: bytes, writer: asyncio.StreamWriter,

@@ -31,11 +31,10 @@ Event keys ``(time, seq)`` are assigned at the same logical points as
 the classic path, so a served run is **bit-identical** between the two
 (pinned by the differential suite in ``tests/serve/test_replay.py``).
 
-The mode is decided lazily at the first :meth:`ServeSession.pump`:
-``fast=None`` (the default) picks the fast path when eligible, the
-classic generators otherwise; submitting with an ``on_done`` callback
-before the first pump commits the session to the classic path (the C
-queues cannot carry Python callbacks).
+The mode is decided lazily at the first :meth:`ServeSession.pump`: the
+fast path when eligible, the classic generators otherwise; submitting
+with an ``on_done`` callback before the first pump commits the session
+to the classic path (the C queues cannot carry Python callbacks).
 
 Micro-batching and bounded run-ahead
 ------------------------------------
@@ -66,6 +65,7 @@ time reproduce exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from array import array
 from collections import deque
@@ -178,14 +178,13 @@ class ServeSession:
     ``record=False`` disables trace recording (slightly faster, not
     replayable).
 
-    ``fast`` selects the request dispatch path: ``None`` (default) uses
-    the kernel fast path when eligible (C kernel active, no failure
-    schedule, no memory capacity, a mirrored strategy family) and the
-    classic generator dispatchers otherwise; ``False`` forces classic;
-    ``True`` raises if the fast path is unavailable.  Results are
-    bit-identical either way.  ``exact_latency=True`` retains every
-    per-request latency sample (exact percentiles, O(requests) memory)
-    instead of the default fixed-size streaming sketch.
+    Requests dispatch through the kernel fast path when eligible (C
+    kernel active, no failure schedule, no memory capacity, a mirrored
+    strategy family, no ``on_done`` callbacks) and through the classic
+    generator dispatchers otherwise; results are bit-identical either
+    way.  ``exact_latency=True`` retains every per-request latency
+    sample (exact percentiles, O(requests) memory) instead of the
+    default fixed-size streaming sketch.
     """
 
     def __init__(
@@ -200,7 +199,6 @@ class ServeSession:
         max_inflight: int = 8192,
         record: bool = True,
         failures=None,
-        fast: Optional[bool] = None,
         exact_latency: bool = False,
     ):
         if max_queue < 1 or max_inflight < 1:
@@ -240,7 +238,6 @@ class ServeSession:
         # Dispatch mode: None = undecided (decided lazily at the first
         # pump), "classic" = generator dispatchers, "fast" = C kernel.
         self._mode: Optional[str] = None
-        self._fast_opt = fast
         self._hk = None           # kernel Sim handle while fast-armed
         self._lib = None
         self._kffi = None
@@ -322,19 +319,10 @@ class ServeSession:
             self._ingest = items
 
     def _decide_mode(self) -> None:
-        if self._fast_opt is False:
-            self._set_classic()
-            return
         if self._arm_fast():
             self._mode = "fast"
-            return
-        if self._fast_opt is True:
-            raise RuntimeError(
-                "fast=True but the kernel fast path is unavailable here "
-                "(needs the C kernel, no failure schedule, no memory "
-                "capacity, and a mirrored strategy family)"
-            )
-        self._set_classic()
+        else:
+            self._set_classic()
 
     def _arm_fast(self) -> bool:
         """Mirror the strategy's residency state into the kernel and
@@ -638,7 +626,7 @@ class ServeSession:
                 "cannot create variables after requests were accepted on the "
                 "kernel fast path with recording on (the reconstructed trace "
                 "hoists creates); create everything up front, or open the "
-                "session with record=False or fast=False"
+                "session with record=False"
             )
         var = self.rt.create_var(
             f"s{len(self.rt.registry)}", payload_bytes, proc, value
@@ -663,8 +651,8 @@ class ServeSession:
         """Queue one read (``"r"``) or write (``"w"``); ``False`` =
         admission control rejected it (queue at ``max_queue``).
 
-        ``arrival`` is the simulated arrival time; arrivals are clamped
-        nondecreasing (``None`` = right after the previous one).
+        ``arrival`` is the simulated arrival time, finite; arrivals are
+        clamped nondecreasing (``None`` = right after the previous one).
         ``on_done(item, sim_completion_time, value)`` fires inside the
         pump when the request completes.  Passing ``on_done`` before the
         first pump commits the session to the classic dispatch path.
@@ -677,12 +665,14 @@ class ServeSession:
             raise ValueError(f"no such processor: {proc}")
         if not 0 <= vid < len(self.rt.registry):
             raise ValueError(f"no such variable: {vid}")
+        if arrival is not None and not math.isfinite(arrival):
+            raise ValueError(f"arrival must be finite, got {arrival!r}")
         if on_done is not None:
             if self._mode == "fast":
                 raise RuntimeError(
                     "on_done callbacks need the classic dispatch path, but "
-                    "this session is already on the kernel fast path (open "
-                    "it with fast=False to keep callbacks)"
+                    "this session is already on the kernel fast path "
+                    "(submit a callback request before the first pump)"
                 )
             if self._mode is None:
                 self._set_classic()
@@ -710,15 +700,20 @@ class ServeSession:
         in one call (the load generator's path to the kernel's batched
         ingest).  ``reads`` is a boolean array (True = read), ``procs``/
         ``vids`` integer arrays, ``arrivals`` the simulated arrival
-        times; all the same length.  Admission accepts the longest prefix
-        the queue has room for (identical to per-item submission, since
-        arrivals are nondecreasing) and returns the accepted count.
+        times (finite); all the same length.  Admission accepts the
+        longest prefix the queue has room for (identical to per-item
+        submission, since arrivals are nondecreasing) and returns the
+        accepted count.  A batch with a non-finite arrival is rejected
+        whole, before anything is queued.
         """
         if self._closed:
             raise RuntimeError("session is closed")
         m = len(procs)
         if not m:
             return 0
+        arrivals = np.asarray(arrivals[:m], dtype=np.float64)
+        if not np.isfinite(arrivals).all():
+            raise ValueError("arrivals must be finite")
         if self._mode == "classic":
             n_ok = 0
             for i in range(m):
@@ -742,8 +737,7 @@ class ServeSession:
         wall = time.perf_counter()
         if self._wall_start is None:
             self._wall_start = wall
-        arr = np.maximum(np.asarray(arrivals[:k], dtype=np.float64),
-                         self._arrival_floor)
+        arr = np.maximum(arrivals[:k], self._arrival_floor)
         np.maximum.accumulate(arr, out=arr)
         self._arrival_floor = float(arr[-1])
         kinds = np.where(np.asarray(reads[:k], dtype=bool), 0, 1).astype(np.int32)

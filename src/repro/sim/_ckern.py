@@ -25,9 +25,12 @@ topology classes fall back to the historical supply path: the kernel
 returns ``R_NEED_ROUTE`` and Python feeds the route via ``sim_set_route``.
 
 Gating: the kernel engages only when ``cffi`` is importable, a C compiler
-is available, and ``REPRO_PURE_PYTHON`` is unset.  Any failure along the
-way (no compiler, sandboxed tmpdir, dlopen error) silently falls back to
-the pure-Python engine; nothing in the package *requires* the kernel.
+is available, and ``REPRO_PURE_PYTHON`` is unset; in those three cases
+the pure-Python engine takes over silently.  Any other failure (the
+source does not compile, sandboxed tmpdir, dlopen error) also falls back,
+but loudly: it is logged and kept in :data:`LOAD_ERROR` (the compiler's
+stderr rides on the exception), so the differential test suites fail
+instead of skipping.  Nothing in the package *requires* the kernel.
 The shared object is cached under ``$REPRO_CKERN_DIR`` (default: a
 per-user directory in the system tempdir) keyed by a hash of the C
 source, so compilation happens once per source revision.
@@ -36,19 +39,25 @@ source, so compilation happens once per source revision.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
+from typing import Optional
 
 __all__ = ["load_kernel", "CKERN_SOURCE"]
 
-CKERN_SOURCE = r"""
+log = logging.getLogger(__name__)
+
+#: The C body.  Its shared declarations (``i64``, ``Crossing``, the
+#: opaque ``Sim`` and every exported prototype) come from :data:`_CDEF`,
+#: prepended in :data:`CKERN_SOURCE`, so the compiler checks the cffi
+#: declarations against the definitions.
+_C_BODY = r"""
 #include <stdlib.h>
 #include <string.h>
-
-typedef long long i64;
 
 enum { K_GEN = 0, K_CHAIN = 1, K_MDOWN = 2, K_MACK = 3,
        K_SREQ = 4, K_SDONE = 5 };
@@ -56,7 +65,6 @@ enum { R_DONE = 0, R_GENERIC = 1, R_CHAIN_DONE = 2, R_MC_DONE = 3,
        R_NEED_ROUTE = 4, R_SREQ = 5 };
 
 typedef struct { double time; i64 seq; int kind, a, b, c, d; } Ev;
-typedef struct { int kind; int a; int b; double time; double targ; } Crossing;
 
 typedef struct {
     int n, done_id, auto_resume;
@@ -89,7 +97,7 @@ typedef struct {
     Pend *pends; int n_pend, cap_pend;
 } Mcast;
 
-typedef struct {
+struct Sim {
     int n_nodes;
     i64 seqno;
     double hop, local_ov;
@@ -147,7 +155,7 @@ typedef struct {
        ONE float accumulation sequence (bit-identical to the pure path) */
     int sv_storage_on;
     double sc_integral, sc_last, sc_excess;
-} Sim;
+};
 
 /* ------------------------------------------------------------------ heap */
 static void heap_push(Sim *s, double t, i64 seq, int kind, int a, int b,
@@ -943,8 +951,6 @@ static int sv_tree_path_cut(Sim *s, int a, int b,
     return -1;  /* no member on the path: invariant broken, cross out */
 }
 
-int sim_ensure_stage(Sim *s, int n);
-
 /* A native access-tree read miss: replay AccessTreeStrategy.read's miss
  * body without leaving C -- walk to the component, extend the copy set
  * down the path (count/top/storage updated exactly as _add_copies does),
@@ -1345,11 +1351,20 @@ double *sim_serve_rec_done(Sim *s);
 double *sim_serve_rec_wall(Sim *s);
 """
 
+#: The complete compilable kernel source.
+CKERN_SOURCE = _CDEF + _C_BODY
+
 #: Staging buffer capacity (ints/doubles); bounds one chain/multicast/route.
 STAGE_CAP = 1 << 16
 
 _KERNEL = None
 _KERNEL_TRIED = False
+
+#: Why the last :func:`load_kernel` fell back when that was a fault, not
+#: one of the expected absences: the exception (a failed compile is a
+#: ``CalledProcessError`` whose ``stderr`` holds the compiler's output).
+#: ``None`` when the kernel loaded or was legitimately unavailable.
+LOAD_ERROR: Optional[Exception] = None
 
 
 def _build_dir() -> pathlib.Path:
@@ -1359,8 +1374,9 @@ def _build_dir() -> pathlib.Path:
     return pathlib.Path(tempfile.gettempdir()) / f"repro-ckern-{os.getuid()}"
 
 
-def _compile(src_hash: str) -> pathlib.Path:
-    """Compile the kernel into the cache dir; returns the .so path."""
+def _compile(src_hash: str) -> Optional[pathlib.Path]:
+    """Compile the kernel into the cache dir; returns the .so path, or
+    ``None`` when there is no C compiler to run."""
     build = _build_dir()
     build.mkdir(parents=True, exist_ok=True)
     so_path = build / f"ckern-{src_hash}.so"
@@ -1370,12 +1386,16 @@ def _compile(src_hash: str) -> pathlib.Path:
     c_path.write_text(CKERN_SOURCE)
     tmp = so_path.with_suffix(f".tmp{os.getpid()}.so")
     cc = os.environ.get("CC", "cc")
-    subprocess.run(
-        [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(c_path)],
-        check=True,
-        capture_output=True,
-        timeout=120,
-    )
+    try:
+        subprocess.run(
+            [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(c_path)],
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+    except FileNotFoundError:
+        return None
     os.replace(tmp, so_path)  # atomic: concurrent builders converge
     return so_path
 
@@ -1396,8 +1416,9 @@ class Kernel:
 
 
 def load_kernel():
-    """The process-wide kernel, or ``None`` when unavailable/disabled."""
-    global _KERNEL, _KERNEL_TRIED
+    """The process-wide kernel, or ``None`` when unavailable/disabled
+    (see :data:`LOAD_ERROR` for why, when the cause was a fault)."""
+    global _KERNEL, _KERNEL_TRIED, LOAD_ERROR
     if _KERNEL_TRIED:
         return _KERNEL
     _KERNEL_TRIED = True
@@ -1405,15 +1426,21 @@ def load_kernel():
         return None
     try:
         from cffi import FFI
-
+    except ImportError:
+        return None
+    try:
         src_hash = hashlib.sha256(
-            (CKERN_SOURCE + _CDEF + sys.version).encode()
+            (CKERN_SOURCE + sys.version).encode()
         ).hexdigest()[:16]
         so_path = _compile(src_hash)
+        if so_path is None:
+            return None
         ffi = FFI()
         ffi.cdef(_CDEF)
         lib = ffi.dlopen(str(so_path))
         _KERNEL = Kernel(ffi, lib)
-    except Exception:
-        _KERNEL = None
+    except Exception as exc:
+        LOAD_ERROR = exc
+        log.warning("C kernel failed to build or load; using the pure-Python "
+                    "engine: %r\n%s", exc, getattr(exc, "stderr", None) or "")
     return _KERNEL

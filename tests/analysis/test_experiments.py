@@ -1,23 +1,16 @@
-"""Experiment runner tests (quick scale) with paper-shape assertions."""
+"""Figure experiments through the registry (quick scale) with
+paper-shape assertions."""
 
 import pytest
 
-from repro.analysis import (
-    PAPER,
-    ablation_barrier,
-    ablation_embedding,
-    ablation_tree_degree,
-    fig2_single_block_flow,
-    fig3_matmul_blocksize,
-    fig4_matmul_network,
-    fig6_bitonic_keys,
-    fig7_bitonic_network,
-    fig8_barneshut_bodies,
-    fig9_fig10_phase_views,
-    fig11_barneshut_scaling,
-    format_table,
-    scale_params,
-)
+from repro.analysis import PAPER, format_table, scale_params
+from repro.exp import MemoryCache, run_experiment
+
+
+def run(name, workload="matmul", cache=None, **overrides):
+    """One registered experiment at quick scale, parameters overridden."""
+    return run_experiment(name, scale="quick", workload=workload, cache=cache,
+                          param_overrides=overrides)
 
 
 def by(rows, **match):
@@ -47,7 +40,7 @@ class TestScaleParams:
 
 class TestFig2:
     def test_access_tree_lowers_total_load_and_congestion(self):
-        rows = fig2_single_block_flow(side=8, block_entries=256)
+        rows = run("fig2", side=8).rows
         fh = by(rows, strategy="fixed-home")[0]
         at = by(rows, strategy="4-ary")[0]
         # Theta(mP) vs Theta(m sqrtP logP): both metrics favour the tree.
@@ -57,8 +50,8 @@ class TestFig2:
 
 class TestFig3:
     def test_shapes(self):
-        p = scale_params("fig3", "quick")
-        rows = fig3_matmul_blocksize(side=p["side"], blocks=p["blocks"])
+        fig3 = run("fig3")
+        p, rows = fig3.params, fig3.rows
         for block in p["blocks"]:
             fh = by(rows, strategy="fixed-home", block=block)[0]
             at = by(rows, strategy="4-ary", block=block)[0]
@@ -72,8 +65,8 @@ class TestFig3:
 
 class TestFig4:
     def test_gap_grows_with_network(self):
-        p = scale_params("fig4", "quick")
-        rows = fig4_matmul_network(sides=p["sides"], block_entries=p["block_entries"])
+        fig4 = run("fig4")
+        p, rows = fig4.params, fig4.rows
         gaps = []
         for side in p["sides"]:
             fh = by(rows, strategy="fixed-home", side=side)[0]
@@ -84,16 +77,16 @@ class TestFig4:
 
 class TestFig6Fig7:
     def test_fig6_shapes(self):
-        p = scale_params("fig6", "quick")
-        rows = fig6_bitonic_keys(side=p["side"], keys=p["keys"])
+        fig6 = run("fig6")
+        p, rows = fig6.params, fig6.rows
         for m in p["keys"]:
             fh = by(rows, strategy="fixed-home", keys=m)[0]
             at = by(rows, strategy="2-4-ary", keys=m)[0]
             assert at["congestion_ratio"] < fh["congestion_ratio"]
 
     def test_fig7_fixed_home_degrades(self):
-        p = scale_params("fig7", "quick")
-        rows = fig7_bitonic_network(sides=p["sides"], keys=p["keys"])
+        fig7 = run("fig7")
+        p, rows = fig7.params, fig7.rows
         fh = [by(rows, strategy="fixed-home", side=s)[0]["congestion_ratio"] for s in p["sides"]]
         at = [by(rows, strategy="2-4-ary", side=s)[0]["congestion_ratio"] for s in p["sides"]]
         assert fh[-1] > fh[0]
@@ -102,11 +95,13 @@ class TestFig6Fig7:
 
 class TestFig8Family:
     @pytest.fixture(scope="class")
-    def fig8_rows(self):
-        p = scale_params("fig8", "quick")
-        return fig8_barneshut_bodies(
-            side=p["side"], bodies=p["bodies"], steps=p["steps"], warm=p["warm"]
-        )
+    def cells(self):
+        """Figures 9 and 10 project the Figure 8 cells: one cache, one run."""
+        return MemoryCache()
+
+    @pytest.fixture(scope="class")
+    def fig8_rows(self, cells):
+        return run("fig8", cache=cells).rows
 
     def test_congestion_ordering(self, fig8_rows):
         """Paper: the higher the tree, the smaller the congestion; fixed
@@ -127,14 +122,14 @@ class TestFig8Family:
             series = [r["congestion_msgs"] for r in fig8_rows if r["strategy"] == name]
             assert series == sorted(series) or series[-1] > series[0]
 
-    def test_fig9_treebuild_fixed_home_offset(self, fig8_rows):
-        fig9, fig10 = fig9_fig10_phase_views(fig8_rows)
+    def test_fig9_treebuild_fixed_home_offset(self, fig8_rows, cells):
+        fig9 = run("fig9", cache=cells).rows
         n = max(r["bodies"] for r in fig9)
         tb = {r["strategy"]: r["congestion_msgs"] for r in fig9 if r["bodies"] == n}
         assert tb["fixed-home"] > tb["4-ary"]
 
-    def test_fig10_force_views(self, fig8_rows):
-        _, fig10 = fig9_fig10_phase_views(fig8_rows)
+    def test_fig10_force_views(self, fig8_rows, cells):
+        fig10 = run("fig10", cache=cells).rows
         n = max(r["bodies"] for r in fig10)
         rows = {r["strategy"]: r for r in fig10 if r["bodies"] == n}
         assert rows["4-ary"]["congestion_msgs"] < rows["fixed-home"]["congestion_msgs"]
@@ -147,11 +142,8 @@ class TestFig8Family:
 
 class TestFig11:
     def test_advantage_grows_with_p(self):
-        p = scale_params("fig11", "quick")
-        rows = fig11_barneshut_scaling(
-            meshes=p["meshes"], bodies_per_proc=p["bodies_per_proc"],
-            steps=p["steps"], warm=p["warm"],
-        )
+        fig11 = run("fig11")
+        p, rows = fig11.params, fig11.rows
         ratios = []
         for r, c in p["meshes"]:
             label = f"{r}x{c}"
@@ -164,22 +156,22 @@ class TestFig11:
 
 class TestAblations:
     def test_tree_degree_congestion_monotone(self):
-        rows = ablation_tree_degree(workload="matmul", side=4, size=256)
+        rows = run("ablation-tree-degree", side=4, size=256).rows
         cong = {r["strategy"]: r["congestion_bytes"] for r in rows}
         assert cong["2-ary"] <= cong["4-ary"] <= cong["16-ary"]
 
     def test_flat_trees_fewer_startups(self):
-        rows = ablation_tree_degree(workload="matmul", side=4, size=256)
+        rows = run("ablation-tree-degree", side=4, size=256).rows
         st = {r["strategy"]: r["max_startups"] for r in rows}
         assert st["16-ary"] < st["2-ary"]
 
     def test_embedding_modified_beats_random(self):
-        rows = ablation_embedding(workload="matmul", side=4, size=256)
+        rows = run("ablation-embedding", side=4, size=256).rows
         d = {r["embedding"]: r for r in rows}
         assert d["modified"]["total_bytes"] < d["random"]["total_bytes"]
 
     def test_barrier_tree_beats_central(self):
-        rows = ablation_barrier(side=4, keys=256)
+        rows = run("ablation-barrier", side=4, keys=256).rows
         d = {r["barrier"]: r for r in rows}
         assert d["tree"]["max_startups"] <= d["central"]["max_startups"]
 

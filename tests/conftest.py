@@ -29,6 +29,26 @@ def mesh8x8() -> Mesh2D:
     return Mesh2D(8, 8)
 
 
+@pytest.fixture
+def ckernel():
+    """The C kernel, for the kernel-vs-pure differential tests.
+
+    Skips only when the kernel is legitimately absent (``REPRO_PURE_PYTHON``
+    set, no ``cffi``, no C compiler); a kernel that fails to build or load
+    fails the test with the compiler's stderr, so a broken C source can
+    never turn the differential suites into skips."""
+    from repro.sim import _ckern
+
+    kernel = _ckern.load_kernel()
+    if kernel is None:
+        err = _ckern.LOAD_ERROR
+        if err is not None:
+            pytest.fail(f"C kernel failed to build or load: {err!r}\n"
+                        f"{getattr(err, 'stderr', None) or ''}")
+        pytest.skip("C kernel unavailable; only the pure engine runs here")
+    return kernel
+
+
 def run_program(mesh, strategy_name, program, machine=ZERO_COST, seed=0, **kw):
     """Build runtime + strategy, run ``program``, return (result, runtime)."""
     strategy = get_strategy(strategy_name, mesh, seed=seed)

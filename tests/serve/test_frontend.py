@@ -54,3 +54,43 @@ class TestWireProtocol:
 
         report = asyncio.run(main())
         assert report.requests == 2 and report.created == 1
+
+
+def _connection_tasks():
+    """The request-task set of the one open connection, read from its
+    suspended ``ServeFrontend._client`` coroutine."""
+    (coro,) = [t.get_coro() for t in asyncio.all_tasks()
+               if getattr(t.get_coro(), "__qualname__", "")
+               == "ServeFrontend._client"]
+    return coro.cr_frame.f_locals["tasks"]
+
+
+class TestLongLivedConnection:
+    def test_answered_requests_are_not_retained(self):
+        """A connection used for many requests must not keep one finished
+        task per request, or its memory grows with every request."""
+
+        async def main():
+            sess = ServeSession(Mesh2D(2, 2), "fixed-home", seed=0)
+            sess.create(0, 64)
+            fe = await ServeFrontend(sess, batch_interval=0.001).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", fe.port)
+            for i in range(60):
+                req = {"op": "read", "proc": i % 4, "vid": 0, "id": i}
+                writer.write((json.dumps(req) + "\n").encode())
+                await writer.drain()
+                assert json.loads(await reader.readline())["ok"]
+            held = _connection_tasks()
+            # A task leaves the set one loop iteration after it finishes.
+            for _ in range(200):
+                if not held:
+                    break
+                await asyncio.sleep(0.001)
+            finished = [t for t in held if t.done()]
+            writer.close()
+            await fe.aclose()
+            sess.close()
+            return held, finished
+
+        held, finished = asyncio.run(main())
+        assert finished == [] and len(held) == 0

@@ -96,12 +96,7 @@ class TestMicroBatchingInvariance:
 
 
 class TestEngineEquivalence:
-    def test_kernel_serves_identically_to_pure_python(self, monkeypatch):
-        from repro.sim import _ckern
-
-        if _ckern.load_kernel() is None:
-            pytest.skip("C kernel unavailable; only the pure engine runs here")
-
+    def test_kernel_serves_identically_to_pure_python(self, ckernel, monkeypatch):
         def run():
             sess, report = serve_small(Mesh2D(4, 4), "4-ary", requests=250)
             d = report.as_dict()
@@ -117,3 +112,44 @@ class TestEngineEquivalence:
         pure_fields, pure_ops = run()
         assert kernel_fields == pure_fields  # exact equality, field by field
         assert kernel_ops == pure_ops
+
+
+#: Wall-clock report fields: host noise, excluded from exact comparisons.
+WALL_FIELDS = ("wall_seconds", "requests_per_sec", "wall_p50", "wall_p95",
+               "wall_p99")
+
+
+class TestClassicOnKernelEqualsFastPath:
+    """Submitting with ``on_done`` callbacks is the one way to run the
+    classic dispatchers on top of the C kernel (the kernel's queues
+    cannot carry Python callbacks).  That path must serve the same
+    stream field-identically to the kernel fast path, for every family
+    the fast path mirrors."""
+
+    @staticmethod
+    def _serve(strategy, callbacks):
+        sess = ServeSession(Mesh2D(4, 4), strategy, seed=0)
+        for vid in range(12):
+            sess.create(vid % 16, 128)
+        done = []
+        on_done = (lambda it, t, v: done.append(t)) if callbacks else None
+        for i in range(240):
+            sess.submit("w" if i % 7 == 0 else "r", (5 * i + 3) % 16,
+                        (i * i) % 12, arrival=i * 1.5e-4, on_done=on_done)
+            if i % 40 == 39:
+                sess.pump(until=i * 1.5e-4)
+        report = sess.close().as_dict()
+        for key in WALL_FIELDS:
+            report.pop(key)
+        return sess, report, done
+
+    @pytest.mark.parametrize("strategy", [
+        "4-ary", "fixed-home", "dynrep:threshold=2", "adaptive", "migratory",
+    ])
+    def test_classic_on_kernel_matches_fast_path(self, ckernel, strategy):
+        classic, classic_report, done = self._serve(strategy, callbacks=True)
+        fast, fast_report, _ = self._serve(strategy, callbacks=False)
+        assert (classic._mode, fast._mode) == ("classic", "fast")
+        assert len(done) == 240
+        assert classic_report == fast_report  # exact, field by field
+        assert classic.trace().ops == fast.trace().ops

@@ -36,6 +36,37 @@ class TestValidation:
         with pytest.raises(ValueError, match="variable"):
             sess.submit("r", 0, 42)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_arrival_rejected(self, bad):
+        """A NaN arrival would be counted as a zero latency, inf would
+        push sim_time to inf: both are refused at the edge."""
+        sess = make_session()
+        with pytest.raises(ValueError, match="finite"):
+            sess.submit("r", 0, 0, arrival=bad)
+        assert sess.accepted == 0 and sess.queue_depth == 0
+
+    def test_non_finite_arrival_rejected_on_the_classic_path(self):
+        sess = make_session()
+        sess.submit("r", 0, 0, arrival=0.0, on_done=lambda it, t, v: None)
+        with pytest.raises(ValueError, match="finite"):
+            sess.submit("r", 1, 1, arrival=float("nan"),
+                        on_done=lambda it, t, v: None)
+        with pytest.raises(ValueError, match="finite"):
+            sess.submit_batch([True, True], [1, 2], [1, 2],
+                              [0.1, float("inf")])
+        assert sess.accepted == 1
+        assert sess.close().requests == 1
+
+    def test_batch_with_non_finite_arrival_rejected_whole(self):
+        sess = make_session()
+        with pytest.raises(ValueError, match="finite"):
+            sess.submit_batch([True, True, False], [0, 1, 2], [0, 1, 2],
+                              [0.0, float("nan"), float("inf")])
+        assert sess.accepted == 0 and sess.rejected == 0
+        assert sess.queue_depth == 0
+        assert sess.submit_batch([True], [0], [0], [0.25]) == 1
+        assert sess.close().requests == 1
+
     def test_bounds_must_be_positive(self):
         with pytest.raises(ValueError):
             ServeSession(Mesh2D(2, 2), "4-ary", max_queue=0)

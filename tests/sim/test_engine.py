@@ -171,11 +171,7 @@ class TestEngineEquivalence:
         rows += fig2_cell("4-ary", side=4, block_entries=64)
         return rows
 
-    def test_kernel_matches_pure_python_exactly(self, monkeypatch):
-        from repro.sim import _ckern
-
-        if _ckern.load_kernel() is None:
-            pytest.skip("C kernel unavailable; only the pure engine runs here")
+    def test_kernel_matches_pure_python_exactly(self, ckernel, monkeypatch):
         kernel_rows = self._rows()
         monkeypatch.setattr(Simulator, "force_pure", True)
         pure_rows = self._rows()
@@ -237,12 +233,8 @@ class TestEngineEquivalenceUnderFailures:
                              ids=[f"{t}-{f.split(':', 1)[0]}-{i}"
                                   for i, (t, f) in enumerate(FAILURE_FIXTURES)])
     @pytest.mark.parametrize("strategy", ["fixed-home", "4-ary", "migratory"])
-    def test_kernel_matches_pure_under_failures(self, monkeypatch, topology,
-                                                failures, strategy):
-        from repro.sim import _ckern
-
-        if _ckern.load_kernel() is None:
-            pytest.skip("C kernel unavailable; only the pure engine runs here")
+    def test_kernel_matches_pure_under_failures(self, ckernel, monkeypatch,
+                                                topology, failures, strategy):
         kernel_fields = self._run(topology, failures, strategy)
         assert kernel_fields[-1] > 0  # the schedule actually fired
         monkeypatch.setattr(Simulator, "force_pure", True)

@@ -18,13 +18,11 @@ from repro.network.mesh import Mesh2D
 from repro.network.routing import DENSE_NODE_LIMIT
 from repro.network.topology import Hypercube
 from repro.network.torus import Torus2D
-from repro.sim import _ckern
 from repro.sim.engine import Simulator
 
-kernel_only = pytest.mark.skipif(
-    _ckern.load_kernel() is None,
-    reason="C kernel unavailable; only the pure engine runs here",
-)
+#: Skips only when the kernel is legitimately absent; fails when it does
+#: not build (see the ``ckernel`` fixture).
+kernel_only = pytest.mark.usefixtures("ckernel")
 
 # Rectangles, degenerate shapes, and sizes on both sides of the limit.
 TOPOLOGIES = [

@@ -136,11 +136,7 @@ class TestPureVsCDifferential:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_latency_percentiles_engine_identical(self, topology, strategy,
-                                                  monkeypatch):
-        from repro.sim import _ckern
-
-        if _ckern.load_kernel() is None:
-            pytest.skip("C kernel unavailable; only the pure engine runs here")
+                                                  ckernel, monkeypatch):
         kernel = _zipf_result(topology, strategy).as_dict()
         monkeypatch.setattr(Simulator, "force_pure", True)
         pure = _zipf_result(topology, strategy).as_dict()
