@@ -30,7 +30,6 @@ runs best-of-N times.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import resource
 import sys
@@ -61,8 +60,13 @@ def run_once():
 
 
 def engine_name() -> str:
-    """Which engine this process benchmarks ("c" or "pure")."""
-    return "pure" if os.environ.get("REPRO_PURE_PYTHON") else "c"
+    """Which engine this process benchmarks: ``"c"`` when the C kernel
+    loaded, ``"pure"`` otherwise -- under ``REPRO_PURE_PYTHON``, and also
+    when the kernel failed to build, so such a run is never gated
+    against the C baseline."""
+    from repro.sim import _ckern
+
+    return "c" if _ckern.load_kernel() is not None else "pure"
 
 
 def peak_rss_mb() -> float:

@@ -49,16 +49,6 @@ from .strategy import DataManagementStrategy, GrantCallback
 __all__ = ["AccessTreeStrategy"]
 
 
-class _CopySet:
-    """Connected copy component of one variable: node set + topmost node."""
-
-    __slots__ = ("nodes", "top")
-
-    def __init__(self, leaf: int):
-        self.nodes: Set[int] = {leaf}
-        self.top = leaf
-
-
 class AccessTreeStrategy(DataManagementStrategy):
     """The access tree strategy in any of its arity variants.
 
@@ -76,6 +66,9 @@ class AccessTreeStrategy(DataManagementStrategy):
         ``"modified"`` (the paper's practical embedding, default;
         per-topology variant selected automatically) or ``"random"``
         (the theoretical analysis).
+
+    The copy component of every variable lives in the residency store
+    (:attr:`res`): sites are tree nodes, ``top`` is the component top.
     """
 
     def __init__(
@@ -99,7 +92,6 @@ class AccessTreeStrategy(DataManagementStrategy):
         self.name = arity
         self.arity = arity
         self.seed = seed
-        self._copies: Dict[int, _CopySet] = {}
         self.write_local = 0
         self.write_remote = 0
         # Optional remapping (the theoretical strategy's feature the paper
@@ -109,6 +101,9 @@ class AccessTreeStrategy(DataManagementStrategy):
         self._access_counts: Dict[Tuple[int, int], int] = {}
         self._remap_serial: Dict[Tuple[int, int], int] = {}
         self.remaps = 0
+
+    def n_sites(self) -> int:
+        return len(self.tree.nodes)
 
     def attach(self, runtime) -> None:
         super().attach(runtime)
@@ -127,20 +122,20 @@ class AccessTreeStrategy(DataManagementStrategy):
         # unbounded case (the paper's default) skips it on the hot paths.
         self._track_mem = self.memory.capacity is not None
         self._leaf_of_proc = self.tree.leaf_of_proc
-        # Per-variable compiled leg cost shapes (request = control, reply =
-        # data), resolved once at registration for the engine's inline
-        # chain events: (cwire, cover, cocc, dwire, dover, docc).
-        self._leg_costs: Dict[int, Tuple[float, ...]] = {}
 
     # ----------------------------------------------------------- inspection
     def copy_nodes(self, var: GlobalVariable) -> Set[int]:
         """Tree node ids currently holding a copy (for tests/analysis)."""
-        return set(self._copies[var.vid].nodes)
+        return set(self.res.members(var.vid))
+
+    def copy_top(self, var: GlobalVariable) -> int:
+        """The copy component's topmost tree node."""
+        return self.res.top[var.vid]
 
     def copy_procs(self, var: GlobalVariable) -> Set[int]:
         """Processors hosting at least one copy."""
         emb = self.embedding
-        return {emb.host(var.vid, n) for n in self._copies[var.vid].nodes}
+        return {emb.host(var.vid, n) for n in self.res.members(var.vid)}
 
     @property
     def lock_acquisitions(self) -> int:
@@ -188,16 +183,16 @@ class AccessTreeStrategy(DataManagementStrategy):
         self.remaps += 1
         if new_host != old_host:
             var = self.registry.by_id(vid)
-            cs = self._copies[vid]
-            payload = var.payload_bytes if node in cs.nodes else 0
+            held = self.res.has(vid, node)
+            payload = var.payload_bytes if held else 0
             # Migrate the node's state (and its copy, if it holds one).
             self.sim.send_leg(old_host, new_host, payload, t, is_data=payload > 0)
-            if self._track_mem and node in cs.nodes:
+            if self._track_mem and held:
                 key = (vid, node)
                 old_mem = self.memory[old_host]
                 if key in old_mem:
                     old_mem.remove(key)
-                self._mem_insert(var, cs, node, t)
+                self._mem_insert(var, node, t)
 
     # --------------------------------------------------------------- repair
     def on_node_down(self, proc, t, down=frozenset()):
@@ -216,9 +211,9 @@ class AccessTreeStrategy(DataManagementStrategy):
 
         tree = self.tree
         emb = self.embedding
+        res = self.res
         repaired = []
-        for vid in sorted(self._copies):
-            cs = self._copies[vid]
+        for vid in range(len(self.registry)):
             moved = False
             for node, tn in enumerate(tree.nodes):
                 if tn.size == 1:
@@ -238,7 +233,7 @@ class AccessTreeStrategy(DataManagementStrategy):
                     new_host = next_live_node(proc, self.topology.n_nodes, down)
                 emb.override(vid, node, new_host)
                 payload = 0
-                if node in cs.nodes:
+                if res.has(vid, node):
                     var = self.registry.by_id(vid)
                     payload = var.payload_bytes
                     if self._track_mem:
@@ -246,25 +241,28 @@ class AccessTreeStrategy(DataManagementStrategy):
                         old_mem = self.memory[proc]
                         if key in old_mem:
                             old_mem.remove(key)
-                        self._mem_insert(var, cs, node, t)
+                        self._mem_insert(var, node, t)
                 self.sim.send_leg(proc, new_host, payload, t, is_data=payload > 0)
                 moved = True
             if moved:
                 repaired.append(vid)
         return repaired
 
-    def _request_path(self, cs: _CopySet, leaf: int) -> List[int]:
+    def _request_path(self, vid: int, leaf: int) -> List[int]:
         """Tree nodes from ``leaf`` to the nearest copy holder (inclusive)."""
-        path = self.tree.path_between(leaf, cs.top)
-        nodes = cs.nodes
+        res = self.res
+        path = self.tree.path_between(leaf, res.top[vid])
+        # The store's has(), inlined here and in the other per-access
+        # loops: a method call costs more than the test itself.
+        member, base = res.member, vid * res.nsites
         out: List[int] = []
         for n in path:
             out.append(n)
-            if n in nodes:
+            if member[base + n]:
                 return out
         raise AssertionError("copy component unreachable from leaf (broken invariant)")
 
-    def _add_copies(self, var: GlobalVariable, cs: _CopySet, path: List[int], t: float) -> None:
+    def _add_copies(self, var: GlobalVariable, path: List[int], t: float) -> None:
         """Insert copies for every node of ``path`` (memory + component).
 
         ``path`` runs from the requesting leaf to a node already in the
@@ -276,30 +274,35 @@ class AccessTreeStrategy(DataManagementStrategy):
         depth = self.tree.depth
         track = self._track_mem
         payload = var.payload_bytes
+        vid = var.vid
+        res = self.res
+        member, base = res.member, vid * res.nsites
+        count = res.count
+        top = res.top
         for n in reversed(path):
-            if n not in cs.nodes:
-                cs.nodes.add(n)
+            if not member[base + n]:
+                member[base + n] = 1
+                count[vid] += 1
                 self._storage_delta(payload, t)
-                if depth[n] < depth[cs.top]:
-                    cs.top = n
+                if depth[n] < depth[top[vid]]:
+                    top[vid] = n
                 if track:
-                    self._mem_insert(var, cs, n, t)
+                    self._mem_insert(var, n, t)
             elif track:
                 mem = self.memory[self._host(var.vid, n)]
                 key = (var.vid, n)
                 if key in mem:
                     mem.touch(key)
 
-    def _mem_insert(self, var: GlobalVariable, cs: _CopySet, node: int, t: float) -> None:
+    def _mem_insert(self, var: GlobalVariable, node: int, t: float) -> None:
         host = self._host(var.vid, node)
         mem = self.memory[host]
 
         def evictable(key) -> bool:
             vid2, node2 = key
-            cs2 = self._copies[vid2]
-            if len(cs2.nodes) <= 1:
+            if self.res.count[vid2] <= 1:
                 return False  # never drop the last (authoritative) copy
-            return self._component_degree(cs2, node2) <= 1
+            return self._component_degree(vid2, node2) <= 1
 
         def on_evict(key) -> None:
             vid2, node2 = key
@@ -307,69 +310,60 @@ class AccessTreeStrategy(DataManagementStrategy):
 
         mem.insert((var.vid, node), var.payload_bytes, evictable, on_evict)
 
-    def _component_degree(self, cs: _CopySet, node: int) -> int:
+    def _component_degree(self, vid: int, node: int) -> int:
+        has = self.res.has
         deg = 0
         tn = self.tree.nodes[node]
-        if tn.parent is not None and tn.parent in cs.nodes:
+        if tn.parent is not None and has(vid, tn.parent):
             deg += 1
         for c in tn.children:
-            if c in cs.nodes:
+            if has(vid, c):
                 deg += 1
         return deg
 
     def _drop_copy(self, vid: int, node: int, host: int, t: float) -> None:
         """Evict the copy at ``node``; notify its component neighbour so the
         tree's direction information stays consistent (one control leg)."""
-        cs = self._copies[vid]
-        cs.nodes.discard(node)
+        res = self.res
+        res.discard(vid, node)
         self._storage_delta(-self.registry.by_id(vid).payload_bytes, t)
+        has = res.has
         tn = self.tree.nodes[node]
         neighbour: Optional[int] = None
-        if tn.parent is not None and tn.parent in cs.nodes:
+        if tn.parent is not None and has(vid, tn.parent):
             neighbour = tn.parent
         else:
             for c in tn.children:
-                if c in cs.nodes:
+                if has(vid, c):
                     neighbour = c
                     break
         if neighbour is None:
             raise AssertionError(
                 f"evicted copy of var {vid} at node {node} had no component "
-                f"neighbour (component {sorted(cs.nodes)[:8]}...): the "
+                f"neighbour (component {res.members(vid)[:8]}...): the "
                 "connectivity invariant is broken"
             )
-        if node == cs.top:
+        if node == res.top[vid]:
             # The unique component neighbour of a dropped degree-1 top is the
             # new top (it is the shallowest remaining node of the component).
-            cs.top = neighbour
+            res.top[vid] = neighbour
         self.sim.send_leg(host, self._host(vid, neighbour), 0, t, is_data=False)
 
     # ------------------------------------------------------------------ API
     def register(self, var: GlobalVariable) -> None:
         leaf = self.tree.leaf_of_proc[var.creator]
-        cs = _CopySet(leaf)
-        self._copies[var.vid] = cs
-        sim = self.sim
-        cwire = sim._ctrl_bytes
-        dwire = var.payload_bytes + sim._header_bytes
-        self._leg_costs[var.vid] = (
-            cwire,
-            sim._nic_fixed + cwire * sim._nic_byte,
-            cwire / sim._bandwidth,
-            dwire,
-            sim._nic_fixed + dwire * sim._nic_byte,
-            dwire / sim._bandwidth,
-        )
+        self.res.add(var.vid, leaf, 0)
+        self._compile_legs(var)
         if self._track_mem:
-            self._mem_insert(var, cs, leaf, 0.0)
+            self._mem_insert(var, leaf, 0.0)
 
     def read(self, proc: int, var: GlobalVariable, t: float) -> Optional[Tuple[float, Any]]:
         """Serve a read.  Returns ``(t, value)`` for a local hit; otherwise
         launches the request/reply flow and returns ``None`` (the runtime is
         resumed at completion time with the value)."""
-        cs = self._copies[var.vid]
+        vid = var.vid
         leaf = self._leaf_of_proc[proc]
-        if leaf in cs.nodes:
+        if self.res.has(vid, leaf):
             self.hits += 1
             if self._track_mem:
                 mem = self.memory[proc]
@@ -378,8 +372,7 @@ class AccessTreeStrategy(DataManagementStrategy):
                     mem.touch(key)
             return t, self.registry.get(var)
         self.misses += 1
-        vid = var.vid
-        path = self._request_path(cs, leaf)
+        path = self._request_path(vid, leaf)
         if self.remap_threshold is not None:
             self._note_accesses(vid, path, t)
         emb = self.embedding
@@ -389,7 +382,7 @@ class AccessTreeStrategy(DataManagementStrategy):
             h = per_var[n]
             hosts.append(h if h is not None else emb.host(vid, n))
         value = self.registry.get(var)  # the value the fetched copy carries
-        self._add_copies(var, cs, path, t)
+        self._add_copies(var, path, t)
         # Compiled request/reply chain: the request climbs as control
         # messages, the value descends as data -- the two cost shapes
         # precomputed at registration.
@@ -405,9 +398,11 @@ class AccessTreeStrategy(DataManagementStrategy):
         """Serve a write.  Returns ``t`` for a purely local write (sole copy
         at the writer); otherwise launches the invalidation flow and returns
         ``None``."""
-        cs = self._copies[var.vid]
+        vid = var.vid
+        res = self.res
         leaf = self._leaf_of_proc[proc]
-        if leaf in cs.nodes and len(cs.nodes) == 1:
+        held = res.has(vid, leaf)
+        if held and res.count[vid] == 1:
             self.write_local += 1
             self.registry.set(var, value)
             if self._track_mem:
@@ -417,13 +412,12 @@ class AccessTreeStrategy(DataManagementStrategy):
                     mem.touch(key)
             return t
         self.write_remote += 1
-        vid = var.vid
 
-        if leaf in cs.nodes:
+        if held:
             u = leaf
             path = [leaf]
         else:
-            path = self._request_path(cs, leaf)
+            path = self._request_path(vid, leaf)
             u = path[-1]
         if self.remap_threshold is not None:
             self._note_accesses(vid, path, t)
@@ -437,6 +431,7 @@ class AccessTreeStrategy(DataManagementStrategy):
 
         # Snapshot the component structure (rooted at u) for the
         # invalidation multicast before the state collapses.
+        member, base = res.member, vid * res.nsites
         mc_children: Dict[int, List[int]] = {}
         mc_hosts: Dict[int, int] = {}
         tree_nodes = self.tree.nodes
@@ -447,25 +442,28 @@ class AccessTreeStrategy(DataManagementStrategy):
             mc_hosts[n] = h if h is not None else emb.host(vid, n)
             tn = tree_nodes[n]
             kids = []
-            if tn.parent is not None and tn.parent in cs.nodes and tn.parent != frm:
+            if tn.parent is not None and member[base + tn.parent] and tn.parent != frm:
                 kids.append(tn.parent)
             for c in tn.children:
-                if c in cs.nodes and c != frm:
+                if member[base + c] and c != frm:
                     kids.append(c)
             mc_children[n] = kids
             stack.extend((k, n) for k in kids)
 
         # --- state update (atomic at initiation) ---
         if self._track_mem:
-            for n in cs.nodes - set(path):
+            on_path = set(path)
+            for n in res.members(vid):
+                if n in on_path:
+                    continue
                 mem = self.memory[self._host(vid, n)]
                 key = (vid, n)
                 if key in mem:
                     mem.remove(key)
-        self._storage_delta((1 - len(cs.nodes)) * payload, t)
-        cs.nodes = {u}
-        cs.top = u
-        self._add_copies(var, cs, path, t)
+        self._storage_delta((1 - res.count[vid]) * payload, t)
+        res.reset(vid, u)
+        res.top[vid] = u
+        self._add_copies(var, path, t)
         self.registry.set(var, value)
 
         # --- timing flow ---

@@ -86,12 +86,11 @@ class AdaptiveStrategy(FixedHomeStrategy):
         self._n_access[vid] = n
         scores = self._scores.setdefault(vid, {})
         scores[proc] = (self._decayed(scores.get(proc), n) + 1.0, n)
-        st = self._states[vid]
-        if proc not in st.copies:
-            self._demote_cold(st, var, t)
+        if not self.res.has(vid, proc):
+            self._demote_cold(var, t)
         return super().read(proc, var, t)
 
-    def _read_replicates(self, st, proc: int, var: GlobalVariable) -> bool:
+    def _read_replicates(self, proc: int, var: GlobalVariable) -> bool:
         """The promotion decision: replicate once the reader's (already
         credited) score reaches ``promote``."""
         n = self._n_access.get(var.vid, 0)
@@ -100,27 +99,32 @@ class AdaptiveStrategy(FixedHomeStrategy):
             return True
         return False
 
-    def _demote_cold(self, st, var: GlobalVariable, t: float) -> None:
+    def _demote_cold(self, var: GlobalVariable, t: float) -> None:
         """Drop replicas whose decayed score fell below ``demote``: the
         home knows every holder, so each demotion is one control message
         (holder memory and copy set updated at initiation, like writes).
         The authoritative copy -- the owner's, or the home's while main
         memory owns -- is never demoted."""
         vid = var.vid
+        res = self.res
+        if res.count[vid] == 1:
+            return  # a lone copy is always the authoritative one
         n = self._n_access.get(vid, 0)
         scores = self._scores.get(vid, {})
         payload = var.payload_bytes
-        for q in sorted(st.copies):
-            if q == st.owner:
+        owner = res.owner[vid]
+        home = self._home[vid]
+        for q in res.members(vid):
+            if q == owner:
                 continue
-            if st.owner == HOME and q == st.home:
+            if owner == HOME and q == home:
                 continue
             if self._decayed(scores.get(q), n) < self.demote:
-                st.copies.discard(q)
+                res.discard(vid, q)
                 if self._track_mem and vid in self.memory[q]:
                     self.memory[q].remove(vid)
                 self._storage_delta(-payload, t)
-                self.sim.send_leg(st.home, q, 0, t, is_data=False)
+                self.sim.send_leg(home, q, 0, t, is_data=False)
                 scores.pop(q, None)
                 self.demotions += 1
 

@@ -54,7 +54,7 @@ class DynRepStrategy(FixedHomeStrategy):
         self.replications = 0
 
     # ------------------------------------------------------------------ API
-    def _read_replicates(self, st, proc: int, var: GlobalVariable) -> bool:
+    def _read_replicates(self, proc: int, var: GlobalVariable) -> bool:
         """The one divergence from fixed home: a read miss leaves a copy
         at the reader only once ``proc`` has accumulated ``threshold``
         remote reads of the variable (hit path and miss flow are fully

@@ -25,7 +25,7 @@ Locks are served by a FIFO queue at the variable's home.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from ..network.topology import Topology
 from ..runtime.locks import HomeLock
@@ -39,20 +39,12 @@ __all__ = ["FixedHomeStrategy"]
 HOME = -1
 
 
-class _VarState:
-    __slots__ = ("home", "copies", "owner")
-
-    def __init__(self, home: int, creator: int):
-        self.home = home
-        # The creator initialized the variable: it holds the sole copy and
-        # the ownership, exactly as after a write (matching the paper's
-        # matrix-multiplication initial configuration).
-        self.copies: Set[int] = {creator}
-        self.owner = creator
-
-
 class FixedHomeStrategy(DataManagementStrategy):
-    """Fixed home + ownership scheme."""
+    """Fixed home + ownership scheme.
+
+    The copy set and the owner of every variable live in the residency
+    store (:attr:`res`, sites = processors); the strategy itself keeps
+    only each variable's home."""
 
     name = "fixed-home"
 
@@ -60,70 +52,75 @@ class FixedHomeStrategy(DataManagementStrategy):
         self.topology = topology
         self.mesh = topology  # historic alias
         self.seed = seed
-        self._states: Dict[int, _VarState] = {}
         self.write_local = 0
         self.write_remote = 0
 
+    def n_sites(self) -> int:
+        return self.topology.n_nodes
+
     def attach(self, runtime) -> None:
         super().attach(runtime)
+        self._home: List[int] = []
         self._locks = HomeLock(self.sim, self.home_of)
         # LRU bookkeeping is only needed under bounded memory.
         self._track_mem = self.memory.capacity is not None
 
     # ----------------------------------------------------------- inspection
     def home_of(self, vid: int) -> int:
-        return self._states[vid].home
+        return self._home[vid]
 
     def copy_procs(self, var: GlobalVariable) -> Set[int]:
-        return set(self._states[var.vid].copies)
+        return set(self.res.members(var.vid))
 
     def owner_of(self, var: GlobalVariable) -> int:
         """Current owner processor, or ``HOME`` (-1)."""
-        return self._states[var.vid].owner
+        return self.res.owner[var.vid]
 
     @property
     def lock_acquisitions(self) -> int:
         return self._locks.acquisitions
 
     # ------------------------------------------------------------- plumbing
-    def _mem_insert(self, st: _VarState, var: GlobalVariable, proc: int, t: float) -> None:
+    def _mem_insert(self, var: GlobalVariable, proc: int, t: float) -> None:
         if not self._track_mem:
             return
         mem = self.memory[proc]
+        res = self.res
+        homes = self._home
 
         def evictable(vid2) -> bool:
-            st2 = self._states[vid2]
-            if st2.owner == proc:
+            owner = res.owner[vid2]
+            if owner == proc:
                 return False  # the owner's copy is authoritative
-            if st2.owner == HOME and proc == st2.home:
+            if owner == HOME and proc == homes[vid2]:
                 return False  # ditto for the home's copy
             return True
 
         def on_evict(vid2) -> None:
-            st2 = self._states[vid2]
-            if proc in st2.copies:
-                st2.copies.discard(proc)
+            if res.discard(vid2, proc):
                 self._storage_delta(-self.registry.by_id(vid2).payload_bytes, t)
             # Dropping a cached copy must be announced to the home, which
             # tracks all copies for invalidation.
-            self.sim.send_leg(proc, st2.home, 0, t, is_data=False)
+            self.sim.send_leg(proc, homes[vid2], 0, t, is_data=False)
 
         mem.insert(var.vid, var.payload_bytes, evictable, on_evict)
 
     # ------------------------------------------------------------------ API
     def register(self, var: GlobalVariable) -> None:
         rng = random.Random((self.seed * 1000003 + var.vid) ^ 0x5EED)
-        home = rng.randrange(self.topology.n_nodes)
-        st = _VarState(home, var.creator)
-        self._states[var.vid] = st
+        self._home.append(rng.randrange(self.topology.n_nodes))
+        # The creator initialized the variable: it holds the sole copy and
+        # the ownership, exactly as after a write (matching the paper's
+        # matrix-multiplication initial configuration).
+        self.res.add(var.vid, var.creator, var.creator)
+        self._compile_legs(var)
         if self._track_mem:
-            self._mem_insert(st, var, var.creator, 0.0)
+            self._mem_insert(var, var.creator, 0.0)
 
     def read(self, proc: int, var: GlobalVariable, t: float) -> Optional[Tuple[float, Any]]:
         """Serve a read.  Returns ``(t, value)`` for a local hit; otherwise
         launches the home round-trip flow and returns ``None``."""
-        st = self._states[var.vid]
-        if proc in st.copies:
+        if self.res.has(var.vid, proc):
             self.hits += 1
             if self._track_mem:
                 mem = self.memory[proc]
@@ -131,10 +128,10 @@ class FixedHomeStrategy(DataManagementStrategy):
                     mem.touch(var.vid)
             return t, self.registry.get(var)
         self.misses += 1
-        self._read_miss_flow(st, proc, var, t, replicate=self._read_replicates(st, proc, var))
+        self._read_miss_flow(proc, var, t, replicate=self._read_replicates(proc, var))
         return None
 
-    def _read_replicates(self, st: _VarState, proc: int, var: GlobalVariable) -> bool:
+    def _read_replicates(self, proc: int, var: GlobalVariable) -> bool:
         """Whether this read miss leaves a copy at the reader: always for
         the fixed home scheme; :class:`~repro.core.dynrep.DynRepStrategy`
         overrides *only* this decision, inheriting hit path and miss flow,
@@ -142,42 +139,35 @@ class FixedHomeStrategy(DataManagementStrategy):
         return True
 
     def _read_miss_flow(
-        self, st: _VarState, proc: int, var: GlobalVariable, t: float, replicate: bool
+        self, proc: int, var: GlobalVariable, t: float, replicate: bool
     ) -> None:
         """The home round-trip of a read miss: request up ``proc -> home
         [-> owner]`` as control messages, the value back down as data
         (both read flows compile to the engine's up/down chain form).
         """
         payload = var.payload_bytes
-        hosts: List[int] = [proc, st.home]
-        if st.owner != HOME:
+        vid = var.vid
+        res = self.res
+        home = self._home[vid]
+        hosts: List[int] = [proc, home]
+        owner = res.owner[vid]
+        if owner != HOME:
             # The home first fetches the value from the current owner,
             # moving the ownership back to the main memory.
-            hosts.append(st.owner)
-            st.owner = HOME
-            if st.home not in st.copies:
-                st.copies.add(st.home)
+            hosts.append(owner)
+            res.owner[vid] = HOME
+            if res.insert(vid, home):
                 self._storage_delta(payload, t)
-            self._mem_insert(st, var, st.home, t)
+            self._mem_insert(var, home, t)
         if replicate:
-            st.copies.add(proc)
+            res.insert(vid, proc)  # proc may be the home just filled
             self._storage_delta(payload, t)
-            self._mem_insert(st, var, proc, t)
+            self._mem_insert(var, proc, t)
         value = self.registry.get(var)
-        runtime = self.runtime
-        sim = self.sim
-        cwire = sim._ctrl_bytes
-        dwire = payload + sim._header_bytes
-        sim.push_updown(
-            t,
-            hosts,
-            cwire,
-            sim._nic_fixed + cwire * sim._nic_byte,
-            cwire / sim._bandwidth,
-            dwire,
-            sim._nic_fixed + dwire * sim._nic_byte,
-            dwire / sim._bandwidth,
-            resume_event=runtime.resume_event(proc, value),
+        cwire, cover, cocc, dwire, dover, docc = self._leg_costs[vid]
+        self.sim.push_updown(
+            t, hosts, cwire, cover, cocc, dwire, dover, docc,
+            resume_event=self.runtime.resume_event(proc, value),
         )
 
     def write(self, proc: int, var: GlobalVariable, value: Any, t: float) -> Optional[float]:
@@ -185,8 +175,9 @@ class FixedHomeStrategy(DataManagementStrategy):
         invalidates all copies (serializing at its NIC -- the hotspot the
         paper attributes to this strategy), collects acknowledgements and
         grants ownership to the writer."""
-        st = self._states[var.vid]
-        if st.owner == proc:
+        vid = var.vid
+        res = self.res
+        if res.owner[vid] == proc:
             self.write_local += 1
             self.registry.set(var, value)
             if self._track_mem:
@@ -195,19 +186,21 @@ class FixedHomeStrategy(DataManagementStrategy):
                     mem.touch(var.vid)
             return t
         self.write_remote += 1
-        home = st.home
-        holders = sorted(st.copies - {proc})
+        home = self._home[vid]
+        holders = res.members(vid)
+        if proc in holders:
+            holders.remove(proc)
         # --- state update (atomic at initiation) ---
         if self._track_mem:
             for q in holders:
                 mem = self.memory[q]
-                if var.vid in mem:
-                    mem.remove(var.vid)
-        self._storage_delta((1 - len(st.copies)) * var.payload_bytes, t)
-        st.copies = {proc}
-        st.owner = proc
+                if vid in mem:
+                    mem.remove(vid)
+        self._storage_delta((1 - res.count[vid]) * var.payload_bytes, t)
+        res.reset(vid, proc)
+        res.owner[vid] = proc
         self.registry.set(var, value)
-        self._mem_insert(st, var, proc, t)
+        self._mem_insert(var, proc, t)
 
         # --- timing flow: request; star-multicast invalidations + acks
         # through the home; ownership grant back to the writer. ---
@@ -239,49 +232,46 @@ class FixedHomeStrategy(DataManagementStrategy):
         routes (its links are already down), so repair costs NIC/local
         overhead but no link traffic -- deterministic and identical in
         both engines."""
+        res = self.res
+        homes = self._home
         repaired = []
-        for vid in sorted(self._states):
-            st = self._states[vid]
+        for vid in range(len(self.registry)):
             touched = False
             var = self.registry.by_id(vid)
-            n_before = len(st.copies)
-            if st.home == proc:
+            n_before = res.count[vid]
+            if homes[vid] == proc:
                 # The directory died with its node: the next live
                 # processor becomes the new home.
                 new_home = next_live_node(proc, self.topology.n_nodes, down)
                 self.sim.send_leg(proc, new_home, 0, t, is_data=False)
-                if st.owner == HOME and proc in st.copies:
+                homes[vid] = new_home
+                if res.owner[vid] == HOME and res.discard(vid, proc):
                     # Main memory's authoritative copy moves with the home.
-                    st.copies.discard(proc)
                     if self._track_mem and vid in self.memory[proc]:
                         self.memory[proc].remove(vid)
-                    st.copies.add(new_home)
-                    st.home = new_home
-                    self._mem_insert(st, var, new_home, t)
+                    res.insert(vid, new_home)
+                    self._mem_insert(var, new_home, t)
                     self.sim.send_leg(proc, new_home, var.payload_bytes, t, is_data=True)
-                else:
-                    st.home = new_home
                 touched = True
-            if st.owner == proc:
+            if res.owner[vid] == proc:
                 # The owner died holding the sole authoritative copy:
                 # ownership reverts to main memory at the (live) home.
-                st.owner = HOME
-                st.copies.discard(proc)
+                res.owner[vid] = HOME
+                res.discard(vid, proc)
                 if self._track_mem and vid in self.memory[proc]:
                     self.memory[proc].remove(vid)
-                st.copies.add(st.home)
-                self._mem_insert(st, var, st.home, t)
-                self.sim.send_leg(proc, st.home, var.payload_bytes, t, is_data=True)
+                res.insert(vid, homes[vid])
+                self._mem_insert(var, homes[vid], t)
+                self.sim.send_leg(proc, homes[vid], var.payload_bytes, t, is_data=True)
                 touched = True
-            if proc in st.copies:
+            if res.discard(vid, proc):
                 # A plain cached copy needs no message: the home simply
                 # forgets the dead holder.
-                st.copies.discard(proc)
                 if self._track_mem and vid in self.memory[proc]:
                     self.memory[proc].remove(vid)
                 touched = True
             if touched:
-                delta = (len(st.copies) - n_before) * var.payload_bytes
+                delta = (res.count[vid] - n_before) * var.payload_bytes
                 if delta:
                     self._storage_delta(delta, t)
                 repaired.append(vid)

@@ -26,7 +26,7 @@ therefore never evictable; the strategy still registers it with the
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from ..network.topology import Topology
 from ..runtime.locks import HomeLock
@@ -40,45 +40,41 @@ def _never_evictable(key) -> bool:
     return False
 
 
-class _VarState:
-    __slots__ = ("directory", "owner")
-
-    def __init__(self, directory: int, owner: int):
-        self.directory = directory
-        self.owner = owner
-
-
 class MigratoryStrategy(DataManagementStrategy):
-    """Single-copy owner migration with read forwarding."""
+    """Single-copy owner migration with read forwarding.
+
+    The owner of every variable lives in the residency store (:attr:`res`,
+    sites = processors; the owner's site is the one member); the strategy
+    itself keeps only each variable's directory."""
 
     name = "migratory"
 
     def __init__(self, topology: Topology, seed: int = 0):
         self.topology = topology
         self.seed = seed
-        self._states: Dict[int, _VarState] = {}
         self.migrations = 0
         self.forwards = 0
         self.write_local = 0
         self.write_remote = 0
 
+    def n_sites(self) -> int:
+        return self.topology.n_nodes
+
     def attach(self, runtime) -> None:
         super().attach(runtime)
+        self._directory: List[int] = []
         self._locks = HomeLock(self.sim, self.directory_of)
         self._track_mem = self.memory.capacity is not None
-        # Per-variable compiled leg cost shapes (request = control, reply =
-        # data), resolved once at registration, like the access tree's.
-        self._leg_costs: Dict[int, Tuple[float, ...]] = {}
 
     # ----------------------------------------------------------- inspection
     def directory_of(self, vid: int) -> int:
-        return self._states[vid].directory
+        return self._directory[vid]
 
     def owner_of(self, var: GlobalVariable) -> int:
-        return self._states[var.vid].owner
+        return self.res.owner[var.vid]
 
     def copy_procs(self, var: GlobalVariable) -> Set[int]:
-        return {self._states[var.vid].owner}
+        return {self.res.owner[var.vid]}
 
     @property
     def lock_acquisitions(self) -> int:
@@ -90,38 +86,37 @@ class MigratoryStrategy(DataManagementStrategy):
             # The sole copy is authoritative: never evictable.
             self.memory[proc].insert(var.vid, var.payload_bytes, _never_evictable)
 
-    def _hosts(self, proc: int, st: _VarState) -> list:
+    def _hosts(self, proc: int, vid: int, owner: int) -> list:
         """Request path ``proc -> directory -> owner`` with consecutive
         duplicates collapsed (the directory may be the requester or the
         owner)."""
         hosts = [proc]
-        if st.directory != proc:
-            hosts.append(st.directory)
-        if st.owner != hosts[-1]:
-            hosts.append(st.owner)
+        directory = self._directory[vid]
+        if directory != proc:
+            hosts.append(directory)
+        if owner != hosts[-1]:
+            hosts.append(owner)
         return hosts
+
+    def _move(self, vid: int, old: int, new: int) -> None:
+        """The sole copy moves from ``old`` to ``new``."""
+        res = self.res
+        res.discard(vid, old)
+        res.insert(vid, new)
+        res.owner[vid] = new
 
     # ------------------------------------------------------------------ API
     def register(self, var: GlobalVariable) -> None:
-        self._states[var.vid] = _VarState(var.creator, var.creator)
-        sim = self.sim
-        cwire = sim._ctrl_bytes
-        dwire = var.payload_bytes + sim._header_bytes
-        self._leg_costs[var.vid] = (
-            cwire,
-            sim._nic_fixed + cwire * sim._nic_byte,
-            cwire / sim._bandwidth,
-            dwire,
-            sim._nic_fixed + dwire * sim._nic_byte,
-            dwire / sim._bandwidth,
-        )
+        self._directory.append(var.creator)
+        self.res.add(var.vid, var.creator, var.creator)
+        self._compile_legs(var)
         self._mem_insert(var, var.creator)
 
     def read(self, proc: int, var: GlobalVariable, t: float) -> Optional[Tuple[float, Any]]:
         """Owner reads are local hits; everything else is forwarded to the
         owner and back (no replication)."""
-        st = self._states[var.vid]
-        if proc == st.owner:
+        owner = self.res.owner[var.vid]
+        if proc == owner:
             self.hits += 1
             if self._track_mem and var.vid in self.memory[proc]:
                 self.memory[proc].touch(var.vid)
@@ -129,7 +124,7 @@ class MigratoryStrategy(DataManagementStrategy):
         self.misses += 1
         self.forwards += 1
         value = self.registry.get(var)
-        hosts = self._hosts(proc, st)
+        hosts = self._hosts(proc, var.vid, owner)
         cwire, cover, cocc, dwire, dover, docc = self._leg_costs[var.vid]
         self.sim.push_updown(
             t, hosts, cwire, cover, cocc, dwire, dover, docc,
@@ -140,8 +135,8 @@ class MigratoryStrategy(DataManagementStrategy):
     def write(self, proc: int, var: GlobalVariable, value: Any, t: float) -> Optional[float]:
         """Owner writes are free; a non-owner write migrates the copy to
         the writer (request up to the owner, the copy back down)."""
-        st = self._states[var.vid]
-        if proc == st.owner:
+        old_owner = self.res.owner[var.vid]
+        if proc == old_owner:
             self.write_local += 1
             self.registry.set(var, value)
             if self._track_mem and var.vid in self.memory[proc]:
@@ -149,10 +144,9 @@ class MigratoryStrategy(DataManagementStrategy):
             return t
         self.write_remote += 1
         self.migrations += 1
-        hosts = self._hosts(proc, st)
-        old_owner = st.owner
+        hosts = self._hosts(proc, var.vid, old_owner)
         # --- state update (atomic at initiation) ---
-        st.owner = proc
+        self._move(var.vid, old_owner, proc)
         self.registry.set(var, value)
         if self._track_mem:
             old_mem = self.memory[old_owner]
@@ -174,22 +168,22 @@ class MigratoryStrategy(DataManagementStrategy):
         off -- it is never dropped -- to the (repaired) directory when
         live, else to the next live processor (data message)."""
         n = self.topology.n_nodes
+        dirs = self._directory
         repaired = []
-        for vid in sorted(self._states):
-            st = self._states[vid]
+        for vid in range(len(self.registry)):
             touched = False
-            if st.directory == proc:
-                st.directory = next_live_node(proc, n, down)
-                self.sim.send_leg(proc, st.directory, 0, t, is_data=False)
+            if dirs[vid] == proc:
+                dirs[vid] = next_live_node(proc, n, down)
+                self.sim.send_leg(proc, dirs[vid], 0, t, is_data=False)
                 touched = True
-            if st.owner == proc:
+            if self.res.owner[vid] == proc:
                 var = self.registry.by_id(vid)
-                target = st.directory if st.directory not in down else (
+                target = dirs[vid] if dirs[vid] not in down else (
                     next_live_node(proc, n, down)
                 )
                 if self._track_mem and vid in self.memory[proc]:
                     self.memory[proc].remove(vid)
-                st.owner = target
+                self._move(vid, proc, target)
                 self._mem_insert(var, target)
                 self.sim.send_leg(proc, target, var.payload_bytes, t, is_data=True)
                 touched = True

@@ -27,10 +27,11 @@ see :mod:`repro.sim.engine`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, Iterable, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Tuple
 
 from ..runtime.variables import GlobalVariable
 from .registry import _DerivedNames
+from .residency import ResidencyStore
 
 __all__ = [
     "DataManagementStrategy",
@@ -69,13 +70,14 @@ class DataManagementStrategy:
     hits: int = 0
     misses: int = 0
 
-    #: Storage-cost accumulator (schema v7, see :mod:`repro.metrics`):
-    #: the time integral of excess replica bytes, advanced by
-    #: :meth:`_storage_delta` at every copy add/drop event.  Class-level
-    #: zeros keep unattached strategies reporting 0.0.
-    _sc_integral: float = 0.0
-    _sc_excess: float = 0.0
-    _sc_last: float = 0.0
+    #: The replica state of every variable (:mod:`repro.core.residency`),
+    #: created per run by :meth:`attach`.
+    res: ResidencyStore
+
+    def n_sites(self) -> int:
+        """Sites a copy can live on (a residency-store row's width);
+        0 for strategies without copies."""
+        return 0
 
     def attach(self, runtime) -> None:
         """Bind to a runtime (simulator, registry, memory book)."""
@@ -85,9 +87,22 @@ class DataManagementStrategy:
         self.memory = runtime.memory
         self.hits = 0
         self.misses = 0
-        self._sc_integral = 0.0
-        self._sc_excess = 0.0
-        self._sc_last = 0.0
+        self.res = ResidencyStore(self.n_sites())
+        #: Per-variable compiled leg cost shapes (:meth:`_compile_legs`).
+        self._leg_costs: Dict[int, Tuple[float, ...]] = {}
+
+    def _compile_legs(self, var: GlobalVariable) -> None:
+        """Resolve ``var``'s leg cost shapes once, at registration, for
+        the engine's inline chain events: requests are control messages,
+        replies carry the value -- ``(cwire, cover, cocc, dwire, dover,
+        docc)``."""
+        sim = self.sim
+        cwire = sim._ctrl_bytes
+        dwire = var.payload_bytes + sim._header_bytes
+        self._leg_costs[var.vid] = (
+            cwire, sim._nic_fixed + cwire * sim._nic_byte, cwire / sim._bandwidth,
+            dwire, sim._nic_fixed + dwire * sim._nic_byte, dwire / sim._bandwidth,
+        )
 
     def register(self, var: GlobalVariable) -> None:
         """A variable was created; place its initial sole copy."""
@@ -123,25 +138,32 @@ class DataManagementStrategy:
     # one* -- +payload when a copy materializes, -payload when one is
     # dropped/invalidated/evicted -- stamped at the event's initiation
     # time, which both engines agree on.  Single-copy strategies never
-    # call it and report exactly 0.0.
+    # call it and report exactly 0.0.  The accumulator is the store's
+    # ``storage`` triple (integral, last, excess); the kernel's native
+    # tree read miss advances the same one.
 
     def _storage_delta(self, delta: float, t: float) -> None:
         """Excess replica bytes changed by ``delta`` at virtual time ``t``."""
-        if t > self._sc_last:
-            self._sc_integral += self._sc_excess * (t - self._sc_last)
-            self._sc_last = t
-        self._sc_excess += delta
+        sc = self.res.storage
+        last = sc[1]
+        excess = sc[2]
+        if t > last:
+            sc[0] += excess * (t - last)
+            sc[1] = t
+        sc[2] = excess + delta
 
     def storage_cost(self, t_end: float) -> float:
         """The integral up to ``t_end`` (replica-bytes x seconds)."""
-        tail = self._sc_excess * (t_end - self._sc_last) if t_end > self._sc_last else 0.0
-        return self._sc_integral + tail
+        integral, last, excess = self.res.storage
+        tail = excess * (t_end - last) if t_end > last else 0.0
+        return integral + tail
 
     def reset_storage(self, at: float) -> None:
         """Restart the integral at time ``at`` (measurement reset: the
         copies currently held keep accruing from here)."""
-        self._sc_integral = 0.0
-        self._sc_last = at
+        sc = self.res.storage
+        sc[0] = 0.0
+        sc[1] = at
 
     # ---------------------------------------------------------- repair
     # Failure-axis hooks (see repro.network.failures): the runtime calls

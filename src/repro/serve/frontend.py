@@ -105,7 +105,15 @@ class ServeFrontend:
         tasks = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # A line past the stream limit cannot be framed, so
+                    # the connection cannot continue: answer, then close.
+                    await self._reply(writer, wlock, {
+                        "ok": False, "error": f"request line too long: {exc}",
+                    })
+                    break
                 if not line:
                     break
                 task = asyncio.create_task(self._handle(line, writer, wlock))
@@ -130,6 +138,11 @@ class ServeFrontend:
             reply = {"ok": False, "error": str(exc)}
         if msg_id is not None:
             reply["id"] = msg_id
+        await self._reply(writer, wlock, reply)
+
+    @staticmethod
+    async def _reply(writer: asyncio.StreamWriter, wlock: asyncio.Lock,
+                     reply: Dict[str, Any]) -> None:
         data = (json.dumps(reply, separators=(",", ":")) + "\n").encode()
         async with wlock:
             writer.write(data)

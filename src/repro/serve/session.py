@@ -22,11 +22,14 @@ state machine above is mirrored *inside* the kernel: queued requests
 live in per-processor C rings, wake-up kicks and idle-until-arrival
 timers are native ``K_SREQ`` events, and a request whose data is locally
 resident (read hit / owner write) completes without re-entering Python
-at all.  Only misses and remote writes cross back (``R_SREQ``), run the
-unchanged strategy code, and re-sync the touched variable's residency
-mirror.  Ingest is batched -- one Python->C call per queue drain
-carrying packed ``(proc, vid, op, arrival)`` arrays -- and completions
-come back the same way (packed arrays folded into the metric sketches).
+at all.  The kernel decides residency from the strategy's own
+:class:`~repro.core.residency.ResidencyStore`, borrowed by pointer, so
+there is one copy of the replica state: misses and remote writes cross
+back (``R_SREQ``) and run the unchanged strategy code on that store,
+and access-tree read misses run natively on it.  Ingest is batched --
+one Python->C call per queue drain carrying packed ``(proc, vid, op,
+arrival)`` arrays -- and completions come back the same way (packed
+arrays folded into the metric sketches).
 Event keys ``(time, seq)`` are assigned at the same logical points as
 the classic path, so a served run is **bit-identical** between the two
 (pinned by the differential suite in ``tests/serve/test_replay.py``).
@@ -179,7 +182,7 @@ class ServeSession:
     replayable).
 
     Requests dispatch through the kernel fast path when eligible (C
-    kernel active, no failure schedule, no memory capacity, a mirrored
+    kernel active, no failure schedule, no memory capacity, a built-in
     strategy family, no ``on_done`` callbacks) and through the classic
     generator dispatchers otherwise; results are bit-identical either
     way.  ``exact_latency=True`` retains every per-request latency
@@ -244,9 +247,6 @@ class ServeSession:
         self._batches: list = []  # packed pending batches (fast ingest)
         self._buffered = 0
         self._sim_end = 0.0       # max completion time seen (fast mode)
-        self._sync_vid: Optional[Callable[[int], None]] = None
-        self._pre_sync: Optional[Callable[[int], None]] = None
-        self._arm_var: Optional[Callable[[int], None]] = None
         self._tree_native = False
         self._rec_batches: list = []     # retained completion records
         self._rec_prev: Optional[list] = None  # per-proc prev completion
@@ -325,9 +325,9 @@ class ServeSession:
             self._set_classic()
 
     def _arm_fast(self) -> bool:
-        """Mirror the strategy's residency state into the kernel and
-        switch completion routing to native events.  Returns ``False``
-        (leaving the session untouched) when ineligible."""
+        """Lend the strategy's residency store to the kernel and switch
+        completion routing to native events.  Returns ``False`` (leaving
+        the session untouched) when ineligible."""
         rt = self.rt
         sim = rt.sim
         if sim._h is None or sim._failview is not None:
@@ -349,66 +349,52 @@ class ServeSession:
         # local-write tests are side-effect-free for this family;
         # wl_rule selects the local-write predicate (0: owner == proc,
         # 1: sole copy at the requester's site).
-        if cls is FixedHomeStrategy or cls is DynRepStrategy:
+        site_of = range(n)
+        if cls in (FixedHomeStrategy, DynRepStrategy, MigratoryStrategy):
             nat_r, nat_w, rule = 1, 1, 0
-            nsites, site_of = n, range(n)
-            sync = self._sync_home
         elif cls is AdaptiveStrategy:
             # Every read advances the popularity estimator, so reads
             # always cross; writes are inherited from fixed home.
             nat_r, nat_w, rule = 0, 1, 0
-            nsites, site_of = n, range(n)
-            sync = self._sync_home
-        elif cls is MigratoryStrategy:
-            nat_r, nat_w, rule = 1, 1, 0
-            nsites, site_of = n, range(n)
-            sync = self._sync_migratory
-        tree_native = False
-        if cls is AccessTreeStrategy:
+        elif cls is AccessTreeStrategy:
             nat_r, nat_w, rule = 1, 1, 1
-            nsites = len(strat.tree.nodes)
             site_of = strat._leaf_of_proc
-            sync = self._sync_tree
-            # With remapping off the per-vid flow shape (hosts, costs,
-            # path geometry) is static, so the whole read-miss flow is
-            # compiled into the kernel: reads never cross into Python.
-            tree_native = strat.remap_threshold is None
-            if tree_native:
-                sync = self._sync_tree_native
-        elif cls not in (FixedHomeStrategy, DynRepStrategy, AdaptiveStrategy,
-                         MigratoryStrategy):
+        else:
             return False
+        # With remapping off an access tree's per-vid flow shape (hosts,
+        # costs, path geometry) is static, so the whole read-miss flow is
+        # compiled into the kernel: reads never cross into Python.
+        tree_native = cls is AccessTreeStrategy and strat.remap_threshold is None
 
         lib, ffi, h = sim._lib, sim._ffi, sim._h
+        store = strat.res
+        nsites = store.nsites
         sim._reserve_stage(max(n, 2 * nsites))
         sim._stage_i[0:n] = list(site_of)
-        lib.sim_serve_init(h, nsites, rule, self.max_inflight)
+        lib.sim_serve_init(h, nsites, rule, nat_r, nat_w, self.max_inflight)
+
+        def bind() -> None:
+            # The kernel reads and writes the store through raw pointers,
+            # so they are re-lent whenever the store reallocates.
+            member, count, owner, top, storage = store.arrays
+            cast = ffi.cast
+            lib.sim_serve_bind(
+                h, cast("unsigned char *", member.ctypes.data),
+                cast("int *", count.ctypes.data), cast("int *", owner.ctypes.data),
+                cast("int *", top.ctypes.data), cast("double *", storage.ctypes.data),
+            )
+
+        bind()
+        store.on_grow = bind
         self._hk, self._lib, self._kffi = h, lib, ffi
-        self._nat = (nat_r, nat_w)
-        self._sync_vid = sync
         if tree_native:
             tree = strat.tree
             sim._stage_i[0:nsites] = tree.parent
             sim._stage_i[nsites:2 * nsites] = tree.depth
             lib.sim_serve_tree_init(h)
-            lib.sim_serve_storage_seed(
-                h, strat._sc_integral, strat._sc_last, strat._sc_excess, 1
-            )
-            # Route the strategy's storage accounting into the kernel's
-            # accumulator: ONE float accumulation sequence whichever side
-            # (native miss / crossed write) applies the delta, so the
-            # storage integral stays bit-identical to the pure path.
-            strat._storage_delta = (
-                lambda delta, t, _lib=lib, _h=h:
-                    _lib.sim_serve_storage_delta(_h, delta, t)
-            )
-            self._pre_sync = self._pre_sync_tree
-            self._arm_var = self._sync_tree_flow
             self._tree_native = True
-        for vid in range(len(rt.registry)):
-            sync(vid)
-            if tree_native:
-                self._sync_tree_flow(vid)
+            for vid in range(len(rt.registry)):
+                self._stage_tree_flow(vid)
         # Completion routing: flows built by the strategies resolve their
         # continuation through these two runtime hooks -- override them
         # (instance attributes) so completions become native K_SDONE
@@ -423,48 +409,10 @@ class ServeSession:
         return True
 
     # ------------------------------------------------- fast-path internals
-    def _sync_home(self, vid: int) -> None:
-        st = self.rt.strategy._states[vid]
-        members = st.copies
-        k = len(members)
-        sim = self.rt.sim
-        sim._reserve_stage(k)
-        sim._stage_i[0:k] = list(members)
-        self._lib.sim_serve_sync_var(
-            self._hk, vid, st.owner, k, k, self._nat[0], self._nat[1]
-        )
-
-    def _sync_migratory(self, vid: int) -> None:
-        st = self.rt.strategy._states[vid]
-        sim = self.rt.sim
-        sim._stage_i[0] = st.owner
-        self._lib.sim_serve_sync_var(
-            self._hk, vid, st.owner, 1, 1, self._nat[0], self._nat[1]
-        )
-
-    def _sync_tree(self, vid: int) -> None:
-        cs = self.rt.strategy._copies[vid]
-        nodes = cs.nodes
-        k = len(nodes)
-        sim = self.rt.sim
-        sim._reserve_stage(k)
-        sim._stage_i[0:k] = list(nodes)
-        self._lib.sim_serve_sync_var(
-            self._hk, vid, 0, k, k, self._nat[0], self._nat[1]
-        )
-
-    def _sync_tree_native(self, vid: int) -> None:
-        # Tree-native mode computes miss paths from the mirror, so the
-        # component top must track the bitset exactly.
-        self._sync_tree(vid)
-        self._lib.sim_serve_set_top(
-            self._hk, vid, self.rt.strategy._copies[vid].top
-        )
-
-    def _sync_tree_flow(self, vid: int) -> None:
+    def _stage_tree_flow(self, vid: int) -> None:
         """Stage the vid's static flow shape -- node->host row, leg costs,
-        payload, component top -- so the kernel can replay its read-miss
-        flow without crossing (arm/create time only)."""
+        payload -- so the kernel can replay its read-miss flow without
+        crossing (arm/create time only)."""
         strat = self.rt.strategy
         emb = strat.embedding
         nsites = len(strat.tree.nodes)
@@ -472,48 +420,31 @@ class ServeSession:
         sim._reserve_stage(nsites)
         sim._stage_i[0:nsites] = [emb.host(vid, node) for node in range(nsites)]
         var = self.rt.registry.by_id(vid)
-        cs = strat._copies[vid]
         self._lib.sim_serve_var_flow(
-            self._hk, vid, cs.top, float(var.payload_bytes),
-            *strat._leg_costs[vid],
+            self._hk, vid, float(var.payload_bytes), *strat._leg_costs[vid],
         )
-
-    def _pre_sync_tree(self, vid: int) -> None:
-        """Import the kernel's residency mirror (mutated by native read
-        misses) back into the strategy's copy set before a crossed write
-        runs the unchanged Python write path."""
-        lib, h = self._lib, self._hk
-        k = lib.sim_serve_members(h, vid)
-        cs = self.rt.strategy._copies[vid]
-        cs.nodes = set(self.rt.sim._stage_i[0:k])
-        cs.top = lib.sim_serve_top(h, vid)
 
     def _serve_cb(self, out) -> None:
         """Handle an ``R_SREQ`` crossing: a request whose data is not
-        locally resident runs the unchanged strategy code, the touched
-        variable's residency mirror is re-synced, and the completion is
+        locally resident runs the unchanged strategy code (which updates
+        the residency store the kernel reads), and the completion is
         routed back natively."""
         lib, h = self._lib, self._hk
         strat = self.rt.strategy
         by_id = self.rt.registry.by_id
         read = strat.read
         write = strat.write
-        sync = self._sync_vid
-        pre = self._pre_sync
         complete = lib.sim_serve_complete
         while True:
             p = out.a
             code = out.b
             vid = code >> 1
             t = out.time
-            if pre is not None:
-                pre(vid)
             if code & 1:
                 done = write(p, by_id(vid), 0, t)
             else:
                 res = read(p, by_id(vid), t)
                 done = None if res is None else res[0]
-            sync(vid)
             if done is None:
                 return  # flow in flight: completes via K_SDONE
             if done > t:
@@ -524,20 +455,7 @@ class ServeSession:
 
     def _flush_batches(self) -> None:
         if self._ingest:
-            items = self._ingest
-            m = len(items)
-            self._batches.append((
-                np.fromiter((0 if it.kind == "r" else 1 for it in items),
-                            dtype=np.int32, count=m),
-                np.fromiter((it.proc for it in items), dtype=np.int32, count=m),
-                np.fromiter((it.vid for it in items), dtype=np.int32, count=m),
-                np.fromiter((it.arrival for it in items), dtype=np.float64,
-                            count=m),
-                np.fromiter((it.wall for it in items), dtype=np.float64,
-                            count=m),
-            ))
-            self._buffered += m
-            items.clear()
+            self._pack_ingest()
         if not self._batches:
             return
         lib, ffi, h = self._lib, self._kffi, self._hk
@@ -594,11 +512,6 @@ class ServeSession:
         strat.write_local += int(lib.sim_serve_stat(h, 3))
         if self._tree_native:
             strat.misses += int(lib.sim_serve_stat(h, 6))
-            # The kernel owns the storage accumulator; copy its state back
-            # so storage_cost() stays correct from the Python side.
-            strat._sc_integral = lib.sim_serve_storage_get(h, 0)
-            strat._sc_last = lib.sim_serve_storage_get(h, 1)
-            strat._sc_excess = lib.sim_serve_storage_get(h, 2)
         lib.sim_serve_counters_reset(h)
 
     def _pump_fast(self, until: Optional[float]) -> None:
@@ -621,6 +534,8 @@ class ServeSession:
         """
         if self._closed:
             raise RuntimeError("session is closed")
+        if not 0 <= proc < self.n_procs:
+            raise ValueError(f"no such processor: {proc}")
         if self._mode == "fast" and self.recorder is not None and self.accepted:
             raise RuntimeError(
                 "cannot create variables after requests were accepted on the "
@@ -632,10 +547,8 @@ class ServeSession:
             f"s{len(self.rt.registry)}", payload_bytes, proc, value
         )
         self.created += 1
-        if self._sync_vid is not None:
-            self._sync_vid(var.vid)
-            if self._arm_var is not None:
-                self._arm_var(var.vid)
+        if self._tree_native:
+            self._stage_tree_flow(var.vid)
         return var.vid
 
     def try_submit(
@@ -873,6 +786,7 @@ class ServeSession:
                 if gen is not None:
                     gen.close()
                     rt._gens[p] = None
+            rt.strategy.res.on_grow = None  # the kernel stops borrowing
             end = self._sim_end
         else:
             for p in range(self.n_procs):

@@ -131,30 +131,29 @@ struct Sim {
     int sv_rec_cap; i64 sv_rec_n;
     int *sv_rec_proc, *sv_rec_vid, *sv_rec_kind;
     double *sv_rec_arr, *sv_rec_eff, *sv_rec_done, *sv_rec_wall;
-    /* residency mirror: per-vid membership bitset over "sites" (procs for
-       the directory families, tree nodes for the access tree) */
-    int sv_nsites, sv_words, sv_wl_rule;
+    /* residency store, borrowed from the strategy (core/residency.py,
+       re-bound by sim_serve_bind whenever it grows): membership bytes
+       over "sites" (procs for the directory families, tree nodes for the
+       access tree), row vid at rs_member + vid * sv_nsites */
+    int sv_nsites, sv_wl_rule;
+    int sv_native_read, sv_native_write;  /* family: native hit / local write */
     int *sv_site_of;              /* proc -> site (identity or leaf_of) */
-    int sv_var_cap;
-    unsigned long long *sv_bits;  /* sv_var_cap * sv_words */
-    int *sv_owner;                /* per vid; -1 = home/main memory */
-    int *sv_count;                /* per vid: member count */
-    unsigned char *sv_nat_r, *sv_nat_w;  /* per vid: fast path allowed */
-    /* access-tree flow mirror: read misses compiled into the kernel
-       (armed only when the strategy's flow shape is static -- no remap,
-       no memory pressure -- so the whole read path stays native) */
+    unsigned char *rs_member;
+    int *rs_count;                /* per vid: member count */
+    int *rs_owner;                /* per vid; -1 = home/main memory */
+    int *rs_top;                  /* per vid: access-tree component top */
+    double *rs_storage;           /* storage cost: integral, last, excess */
+    /* access-tree read misses compiled into the kernel (armed only when
+       the strategy's flow shape is static -- no remap, no memory
+       pressure -- so the whole read path stays native) */
     int sv_tree_on;
+    int sv_var_cap;               /* capacity of the per-vid flow arrays */
     int *sv_parent, *sv_depth;    /* [nsites] static tree shape */
-    int *sv_top;                  /* per vid: component top node */
     int *sv_host;                 /* per vid: nsites-wide node->host row */
     double *sv_flow;              /* per vid: 6 up/down leg costs */
     double *sv_payload;           /* per vid: payload bytes */
     int *sv_scr_a, *sv_scr_b, *sv_path;  /* LCA walk scratch */
     i64 sv_misses;                /* native miss delta (folded by Python) */
-    /* storage-cost accumulator, moved into C so the time integral stays
-       ONE float accumulation sequence (bit-identical to the pure path) */
-    int sv_storage_on;
-    double sc_integral, sc_last, sc_excess;
 };
 
 /* ------------------------------------------------------------------ heap */
@@ -624,7 +623,7 @@ static void mc_free_one(Sim *s, int id) {
  *   queued-gap ComputeReq->  K_SREQ pushed at the previous completion
  *   flow auto-resume     ->  K_SDONE at the chain-completion push point
  *   strategy done > now  ->  sim_serve_push_done (Python crossing point)
- *   local hit/write      ->  handled natively when the residency mirror
+ *   local hit/write      ->  handled natively when the residency store
  *                            proves the strategy call is side-effect-free
  */
 
@@ -690,11 +689,10 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
         q->len--;
         int vid = cur.vid;
         int native = 0;
+        const unsigned char *row = s->rs_member + (size_t)vid * s->sv_nsites;
         if (cur.kind == 0) {
-            if (s->sv_nat_r[vid]) {
-                unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
-                int site = s->sv_site_of[p];
-                if (w[site >> 6] & (1ULL << (site & 63))) {
+            if (s->sv_native_read) {
+                if (row[s->sv_site_of[p]]) {
                     s->sv_hits++;
                     native = 1;
                 } else if (s->sv_tree_on && serve_tree_miss(s, p, &cur)) {
@@ -706,16 +704,12 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
                 }
             }
         } else {
-            if (s->sv_nat_w[vid]) {
+            if (s->sv_native_write) {
                 int local;
-                if (s->sv_wl_rule == 0) {
-                    local = (s->sv_owner[vid] == p);
-                } else {
-                    unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
-                    int site = s->sv_site_of[p];
-                    local = (s->sv_count[vid] == 1 &&
-                             (w[site >> 6] & (1ULL << (site & 63))) != 0);
-                }
+                if (s->sv_wl_rule == 0)
+                    local = (s->rs_owner[vid] == p);
+                else
+                    local = (s->rs_count[vid] == 1 && row[s->sv_site_of[p]]);
                 if (local) {
                     s->sv_wlocal++;
                     native = 1;
@@ -767,15 +761,18 @@ static i64 serve_inject(Sim *s, double horizon) {
     return n;
 }
 
-int sim_serve_init(Sim *s, int nsites, int wl_rule, i64 max_inflight) {
-    /* site_of staged in stage_i[0..n_nodes) */
+int sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
+                   i64 max_inflight) {
+    /* site_of staged in stage_i[0..n_nodes); the residency store is bound
+       separately (sim_serve_bind) before the first run */
     int n = s->n_nodes;
     s->serve_on = 1;
     s->sv_phase = 0;
     s->sv_now = 0.0;
     s->sv_nsites = nsites;
-    s->sv_words = (nsites + 63) >> 6;
     s->sv_wl_rule = wl_rule;
+    s->sv_native_read = nat_r;
+    s->sv_native_write = nat_w;
     s->sv_max_inflight = max_inflight;
     s->sv_q = (SQueue *)calloc(n, sizeof(SQueue));
     for (int p = 0; p < n; p++) {
@@ -796,58 +793,13 @@ int sim_serve_init(Sim *s, int nsites, int wl_rule, i64 max_inflight) {
     s->sv_rec_eff = (double *)malloc(s->sv_rec_cap * sizeof(double));
     s->sv_rec_done = (double *)malloc(s->sv_rec_cap * sizeof(double));
     s->sv_rec_wall = (double *)malloc(s->sv_rec_cap * sizeof(double));
-    s->sv_var_cap = 256;
-    s->sv_bits = (unsigned long long *)calloc(
-        (size_t)s->sv_var_cap * s->sv_words, sizeof(unsigned long long));
-    s->sv_owner = (int *)malloc(s->sv_var_cap * sizeof(int));
-    s->sv_count = (int *)calloc(s->sv_var_cap, sizeof(int));
-    s->sv_nat_r = (unsigned char *)calloc(s->sv_var_cap, 1);
-    s->sv_nat_w = (unsigned char *)calloc(s->sv_var_cap, 1);
     return 0;
 }
 
-static void sv_grow_vars(Sim *s, int vid) {
-    if (vid < s->sv_var_cap) return;
-    int old = s->sv_var_cap;
-    while (vid >= s->sv_var_cap) s->sv_var_cap *= 2;
-    s->sv_bits = (unsigned long long *)realloc(
-        s->sv_bits,
-        (size_t)s->sv_var_cap * s->sv_words * sizeof(unsigned long long));
-    memset(s->sv_bits + (size_t)old * s->sv_words, 0,
-           (size_t)(s->sv_var_cap - old) * s->sv_words *
-           sizeof(unsigned long long));
-    s->sv_owner = (int *)realloc(s->sv_owner, s->sv_var_cap * sizeof(int));
-    s->sv_count = (int *)realloc(s->sv_count, s->sv_var_cap * sizeof(int));
-    s->sv_nat_r = (unsigned char *)realloc(s->sv_nat_r, s->sv_var_cap);
-    s->sv_nat_w = (unsigned char *)realloc(s->sv_nat_w, s->sv_var_cap);
-    memset(s->sv_count + old, 0, (s->sv_var_cap - old) * sizeof(int));
-    memset(s->sv_nat_r + old, 0, s->sv_var_cap - old);
-    memset(s->sv_nat_w + old, 0, s->sv_var_cap - old);
-    if (s->sv_tree_on) {
-        s->sv_top = (int *)realloc(s->sv_top, s->sv_var_cap * sizeof(int));
-        s->sv_host = (int *)realloc(
-            s->sv_host, (size_t)s->sv_var_cap * s->sv_nsites * sizeof(int));
-        s->sv_flow = (double *)realloc(
-            s->sv_flow, (size_t)s->sv_var_cap * 6 * sizeof(double));
-        s->sv_payload = (double *)realloc(
-            s->sv_payload, s->sv_var_cap * sizeof(double));
-    }
-}
-
-void sim_serve_sync_var(Sim *s, int vid, int owner, int count, int n_members,
-                        int nat_r, int nat_w) {
-    /* member sites staged in stage_i[0..n_members) */
-    sv_grow_vars(s, vid);
-    unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
-    memset(w, 0, s->sv_words * sizeof(unsigned long long));
-    for (int j = 0; j < n_members; j++) {
-        int site = s->stage_i[j];
-        w[site >> 6] |= 1ULL << (site & 63);
-    }
-    s->sv_owner[vid] = owner;
-    s->sv_count[vid] = count;
-    s->sv_nat_r[vid] = (unsigned char)nat_r;
-    s->sv_nat_w[vid] = (unsigned char)nat_w;
+void sim_serve_bind(Sim *s, unsigned char *member, int *count, int *owner,
+                    int *top, double *storage) {
+    s->rs_member = member; s->rs_count = count; s->rs_owner = owner;
+    s->rs_top = top; s->rs_storage = storage;
 }
 
 void sim_serve_tree_init(Sim *s) {
@@ -862,19 +814,26 @@ void sim_serve_tree_init(Sim *s) {
     s->sv_scr_a = (int *)malloc(n * sizeof(int));
     s->sv_scr_b = (int *)malloc(n * sizeof(int));
     s->sv_path = (int *)malloc(2 * n * sizeof(int));
-    s->sv_top = (int *)malloc(s->sv_var_cap * sizeof(int));
+    s->sv_var_cap = 256;
     s->sv_host = (int *)malloc((size_t)s->sv_var_cap * n * sizeof(int));
     s->sv_flow = (double *)malloc((size_t)s->sv_var_cap * 6 * sizeof(double));
     s->sv_payload = (double *)malloc(s->sv_var_cap * sizeof(double));
 }
 
-void sim_serve_var_flow(Sim *s, int vid, int top, double payload, double cw,
+void sim_serve_var_flow(Sim *s, int vid, double payload, double cw,
                         double co, double cocc, double dw, double dov,
                         double docc) {
     /* node->host row staged in stage_i[0..nsites): the per-vid flow shape
        a native read miss replays (costs from the strategy's leg table). */
-    sv_grow_vars(s, vid);
-    s->sv_top[vid] = top;
+    if (vid >= s->sv_var_cap) {
+        while (vid >= s->sv_var_cap) s->sv_var_cap *= 2;
+        s->sv_host = (int *)realloc(
+            s->sv_host, (size_t)s->sv_var_cap * s->sv_nsites * sizeof(int));
+        s->sv_flow = (double *)realloc(
+            s->sv_flow, (size_t)s->sv_var_cap * 6 * sizeof(double));
+        s->sv_payload = (double *)realloc(
+            s->sv_payload, s->sv_var_cap * sizeof(double));
+    }
     s->sv_payload[vid] = payload;
     memcpy(s->sv_host + (size_t)vid * s->sv_nsites, s->stage_i,
            s->sv_nsites * sizeof(int));
@@ -883,53 +842,20 @@ void sim_serve_var_flow(Sim *s, int vid, int top, double payload, double cw,
     fc[3] = dw; fc[4] = dov; fc[5] = docc;
 }
 
-void sim_serve_set_top(Sim *s, int vid, int top) { s->sv_top[vid] = top; }
-int sim_serve_top(Sim *s, int vid) { return s->sv_top[vid]; }
-
-int sim_serve_members(Sim *s, int vid) {
-    /* export the vid's member sites into stage_i; returns the count
-       (Python refreshes its copy-set before a crossed write). */
-    unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
-    int n = 0;
-    for (int wd = 0; wd < s->sv_words; wd++) {
-        unsigned long long bits = w[wd];
-        while (bits) {
-            int b = __builtin_ctzll(bits);
-            s->stage_i[n++] = wd * 64 + b;
-            bits &= bits - 1;
-        }
+/* The storage-cost accumulator step, operation for operation
+ * DataManagementStrategy._storage_delta on the same three doubles. */
+static void rs_storage_delta(double *sc, double delta, double t) {
+    if (t > sc[1]) {
+        sc[0] += sc[2] * (t - sc[1]);
+        sc[1] = t;
     }
-    return n;
-}
-
-void sim_serve_storage_seed(Sim *s, double integral, double last,
-                            double excess, int on) {
-    s->sc_integral = integral; s->sc_last = last; s->sc_excess = excess;
-    s->sv_storage_on = on;
-}
-
-void sim_serve_storage_delta(Sim *s, double delta, double t) {
-    /* exact mirror of DataManagementStrategy._storage_delta */
-    if (t > s->sc_last) {
-        s->sc_integral += s->sc_excess * (t - s->sc_last);
-        s->sc_last = t;
-    }
-    s->sc_excess += delta;
-}
-
-double sim_serve_storage_get(Sim *s, int which) {
-    switch (which) {
-    case 0: return s->sc_integral;
-    case 1: return s->sc_last;
-    case 2: return s->sc_excess;
-    }
-    return 0.0;
+    sc[2] += delta;
 }
 
 /* tree_path(leaf, top) cut at the first component member (inclusive):
  * the exact walk of decomposition.tree_path + AccessTree._request_path. */
 static int sv_tree_path_cut(Sim *s, int a, int b,
-                            const unsigned long long *w, int *out) {
+                            const unsigned char *row, int *out) {
     const int *parent = s->sv_parent, *depth = s->sv_depth;
     int *ua = s->sv_scr_a, *ub = s->sv_scr_b;
     int na = 0, nb = 0;
@@ -942,11 +868,11 @@ static int sv_tree_path_cut(Sim *s, int a, int b,
     int n = 0;
     for (int i = 0; i < na; i++) {
         int node = ua[i]; out[n++] = node;
-        if (w[node >> 6] & (1ULL << (node & 63))) return n;
+        if (row[node]) return n;
     }
     for (int i = nb - 1; i >= 0; i--) {
         int node = ub[i]; out[n++] = node;
-        if (w[node >> 6] & (1ULL << (node & 63))) return n;
+        if (row[node]) return n;
     }
     return -1;  /* no member on the path: invariant broken, cross out */
 }
@@ -958,29 +884,28 @@ static int sv_tree_path_cut(Sim *s, int a, int b,
  * same seqnos.  Returns 0 to fall back to a Python crossing. */
 static int serve_tree_miss(Sim *s, int p, const SReq *cur) {
     int vid = cur->vid;
-    unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
+    unsigned char *row = s->rs_member + (size_t)vid * s->sv_nsites;
     int *path = s->sv_path;
-    int np = sv_tree_path_cut(s, s->sv_site_of[p], s->sv_top[vid], w, path);
+    int np = sv_tree_path_cut(s, s->sv_site_of[p], s->rs_top[vid], row, path);
     if (np < 2) return 0;
     double t = s->sv_now;
     s->sv_misses++;
     double payload = s->sv_payload[vid];
     const int *depth = s->sv_depth;
-    int top = s->sv_top[vid];
+    int top = s->rs_top[vid];
     for (int i = np - 1; i >= 0; i--) {
         int node = path[i];
-        unsigned long long bit = 1ULL << (node & 63);
-        if (!(w[node >> 6] & bit)) {
-            w[node >> 6] |= bit;
-            s->sv_count[vid]++;
-            if (s->sv_storage_on) sim_serve_storage_delta(s, payload, t);
+        if (!row[node]) {
+            row[node] = 1;
+            s->rs_count[vid]++;
+            rs_storage_delta(s->rs_storage, payload, t);
             if (depth[node] < depth[top]) top = node;
         }
     }
-    s->sv_top[vid] = top;
+    s->rs_top[vid] = top;
     sim_ensure_stage(s, np);
-    const int *row = s->sv_host + (size_t)vid * s->sv_nsites;
-    for (int i = 0; i < np; i++) s->stage_i[i] = row[path[i]];
+    const int *hosts = s->sv_host + (size_t)vid * s->sv_nsites;
+    for (int i = 0; i < np; i++) s->stage_i[i] = hosts[path[i]];
     const double *fc = s->sv_flow + (size_t)vid * 6;
     sim_push_chain_updown(s, t, np, fc[0], fc[1], fc[2], fc[3], fc[4], fc[5],
                           p, 2);
@@ -1060,13 +985,10 @@ static void serve_free(Sim *s) {
     free(s->sv_rec_proc); free(s->sv_rec_vid); free(s->sv_rec_kind);
     free(s->sv_rec_arr); free(s->sv_rec_eff); free(s->sv_rec_done);
     free(s->sv_rec_wall);
-    free(s->sv_bits); free(s->sv_owner); free(s->sv_count);
-    free(s->sv_nat_r); free(s->sv_nat_w);
     if (s->sv_tree_on) {
         free(s->sv_parent); free(s->sv_depth);
         free(s->sv_scr_a); free(s->sv_scr_b); free(s->sv_path);
-        free(s->sv_top); free(s->sv_host); free(s->sv_flow);
-        free(s->sv_payload);
+        free(s->sv_host); free(s->sv_flow); free(s->sv_payload);
     }
 }
 
@@ -1318,20 +1240,14 @@ double sim_send_leg(Sim *s, double time, int src, int dst, double wire,
                     double over, double occ, int isdat);
 double sim_probe_leg(Sim *s, double time, int src, int dst, double wire,
                      double over, double occ);
-int sim_serve_init(Sim *s, int nsites, int wl_rule, i64 max_inflight);
-void sim_serve_sync_var(Sim *s, int vid, int owner, int count, int n_members,
-                        int nat_r, int nat_w);
+int sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
+                   i64 max_inflight);
+void sim_serve_bind(Sim *s, unsigned char *member, int *count, int *owner,
+                    int *top, double *storage);
 void sim_serve_tree_init(Sim *s);
-void sim_serve_var_flow(Sim *s, int vid, int top, double payload, double cw,
+void sim_serve_var_flow(Sim *s, int vid, double payload, double cw,
                         double co, double cocc, double dw, double dov,
                         double docc);
-void sim_serve_set_top(Sim *s, int vid, int top);
-int sim_serve_top(Sim *s, int vid);
-int sim_serve_members(Sim *s, int vid);
-void sim_serve_storage_seed(Sim *s, double integral, double last,
-                            double excess, int on);
-void sim_serve_storage_delta(Sim *s, double delta, double t);
-double sim_serve_storage_get(Sim *s, int which);
 i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,
                      const int *kinds, const double *arrivals,
                      const double *walls);

@@ -69,11 +69,11 @@ def component_is_connected(strategy: AccessTreeStrategy, var) -> bool:
 
 def top_is_unique_shallowest(strategy: AccessTreeStrategy, var) -> bool:
     nodes = strategy.copy_nodes(var)
-    cs = strategy._copies[var.vid]
+    top = strategy.copy_top(var)
     depths = [strategy.tree.depth[n] for n in nodes]
     return (
-        cs.top in nodes
-        and strategy.tree.depth[cs.top] == min(depths)
+        top in nodes
+        and strategy.tree.depth[top] == min(depths)
         and depths.count(min(depths)) == 1
     )
 
@@ -167,13 +167,13 @@ class TestRouting:
         var = d.create("x", 64, creator=0, value=1)
         for p in (1, 2, 3, 7, 11):
             d.read(p, var)
-        cs = d.strategy._copies[var.vid]
+        nodes = d.strategy.copy_nodes(var)
         for p in range(16):
             leaf = tree.leaf_of_proc[p]
-            path = d.strategy._request_path(cs, leaf)
+            path = d.strategy._request_path(var.vid, leaf)
             u = path[-1]
-            assert u in cs.nodes
-            best = min(tree.tree_distance(leaf, n) for n in cs.nodes)
+            assert u in nodes
+            best = min(tree.tree_distance(leaf, n) for n in nodes)
             assert tree.tree_distance(leaf, u) == best
 
     def test_messages_follow_tree_hosts(self):

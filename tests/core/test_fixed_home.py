@@ -178,11 +178,11 @@ def test_ownership_invariants_under_random_ops(ops):
             last[vi] = ("w", n)
             assert d.strategy.owner_of(var) == p
             assert d.strategy.copy_procs(var) == {p}
-        st_ = d.strategy._states[var.vid]
-        if st_.owner == HOME:
-            assert st_.home in st_.copies
+        owner = d.strategy.owner_of(var)
+        if owner == HOME:
+            assert d.strategy.home_of(var.vid) in d.strategy.copy_procs(var)
         else:
-            assert st_.owner in st_.copies
+            assert owner in d.strategy.copy_procs(var)
 
 
 def test_reset_counters():

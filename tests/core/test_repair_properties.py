@@ -49,12 +49,10 @@ def run_zipf(strategy, failures, capacity_bytes=None, seed=3):
 def copy_sets(strategy_obj):
     """``vid -> non-empty set of copy locations`` for any family (tree
     nodes for access trees, processors for the directory families)."""
-    if isinstance(strategy_obj, AccessTreeStrategy):
-        return {vid: set(cs.nodes) for vid, cs in strategy_obj._copies.items()}
-    return {
-        vid: (set(st.copies) if hasattr(st, "copies") else {st.owner})
-        for vid, st in strategy_obj._states.items()
-    }
+    copies = (strategy_obj.copy_nodes
+              if isinstance(strategy_obj, AccessTreeStrategy)
+              else strategy_obj.copy_procs)
+    return {var.vid: copies(var) for var in strategy_obj.registry}
 
 
 # --------------------------------------------------------------- validators
@@ -63,17 +61,19 @@ def copy_sets(strategy_obj):
 
 def _validate_fixed_home(strat, proc, down):
     errs = []
-    for vid, st in strat._states.items():
-        if st.home in down:
-            errs.append(f"vid {vid}: home {st.home} is dead")
-        if st.owner == proc:
+    for var in strat.registry:
+        vid = var.vid
+        home, owner, copies = strat.home_of(vid), strat.owner_of(var), strat.copy_procs(var)
+        if home in down:
+            errs.append(f"vid {vid}: home {home} is dead")
+        if owner == proc:
             errs.append(f"vid {vid}: dead proc still owner")
-        if proc in st.copies:
+        if proc in copies:
             errs.append(f"vid {vid}: dead proc still in copy set")
-        if not st.copies:
+        if not copies:
             errs.append(f"vid {vid}: copy set emptied by repair")
-        holder = st.home if st.owner == HOME else st.owner
-        if holder not in st.copies:
+        holder = home if owner == HOME else owner
+        if holder not in copies:
             errs.append(f"vid {vid}: authoritative holder {holder} has no copy")
     if strat._track_mem and len(strat.memory[proc]) != 0:
         errs.append(f"dead p{proc} still holds memory entries")
@@ -82,10 +82,12 @@ def _validate_fixed_home(strat, proc, down):
 
 def _validate_migratory(strat, proc, down):
     errs = []
-    for vid, st in strat._states.items():
-        if st.directory in down:
-            errs.append(f"vid {vid}: directory {st.directory} is dead")
-        if st.owner == proc:
+    for var in strat.registry:
+        vid = var.vid
+        directory = strat.directory_of(vid)
+        if directory in down:
+            errs.append(f"vid {vid}: directory {directory} is dead")
+        if strat.owner_of(var) == proc:
             errs.append(f"vid {vid}: dead proc still owns the copy")
     if strat._track_mem and len(strat.memory[proc]) != 0:
         errs.append(f"dead p{proc} still holds memory entries")
@@ -95,10 +97,12 @@ def _validate_migratory(strat, proc, down):
 def _validate_tree(strat, proc, down):
     errs = []
     tree, emb = strat.tree, strat.embedding
-    for vid, cs in strat._copies.items():
-        if not cs.nodes:
+    for var in strat.registry:
+        vid = var.vid
+        nodes = strat.copy_nodes(var)
+        if not nodes:
             errs.append(f"vid {vid}: copy set emptied by repair")
-        for node in cs.nodes:
+        for node in nodes:
             if tree.nodes[node].size == 1:
                 continue  # leaves are pinned to their processor
             host = emb.host(vid, node)
@@ -188,9 +192,11 @@ class TestLastCopySurvivesRepair:
     def test_authoritative_holder_keeps_its_copy(self, strategy):
         """The ownership-scheme invariant survives churn end to end."""
         _, rt = run_zipf(strategy, CHURN, capacity_bytes=200.0)
-        for vid, st in rt.strategy._states.items():
-            holder = st.home if st.owner == HOME else st.owner
-            assert holder in st.copies, f"vid {vid}: holder lost its copy"
+        strat = rt.strategy
+        for var in rt.registry:
+            owner = strat.owner_of(var)
+            holder = strat.home_of(var.vid) if owner == HOME else owner
+            assert holder in strat.copy_procs(var), f"vid {var.vid}: holder lost its copy"
 
 
 class TestLookupsResolveLiveAtRepairTime:

@@ -63,12 +63,13 @@ def test_access_tree_eviction_invariants(seed, alpha, read_frac, cap):
     res, rt = run_under_pressure("2-ary", seed, alpha, read_frac, cap)
     strat = rt.strategy
     depth = strat.tree.depth
-    for vid, cs in strat._copies.items():
+    for var in rt.registry:
+        nodes, top = strat.copy_nodes(var), strat.copy_top(var)
         # Last copy never evicted.
-        assert len(cs.nodes) >= 1, f"var {vid} lost its last copy"
+        assert len(nodes) >= 1, f"var {var.vid} lost its last copy"
         # The component stays connected, and top is its shallowest node.
-        assert_component_connected(strat.tree, cs.nodes, cs.top)
-        assert depth[cs.top] == min(depth[n] for n in cs.nodes)
+        assert_component_connected(strat.tree, nodes, top)
+        assert depth[top] == min(depth[n] for n in nodes)
     # Byte accounting matches the live entries on every processor.
     for mem in rt.memory.mems:
         assert mem.used_bytes == sum(mem._entries.values())
@@ -79,12 +80,13 @@ def test_access_tree_eviction_invariants(seed, alpha, read_frac, cap):
 def test_fixed_home_eviction_invariants(seed, alpha, read_frac, cap):
     res, rt = run_under_pressure("fixed-home", seed, alpha, read_frac, cap)
     strat = rt.strategy
-    for vid, vstate in strat._states.items():
+    for var in rt.registry:
+        copies, owner = strat.copy_procs(var), strat.owner_of(var)
         # Last copy never evicted; the authoritative copy (owner's, or the
         # home's when main memory owns) is always among the holders.
-        assert len(vstate.copies) >= 1, f"var {vid} lost its last copy"
-        if vstate.owner != -1:
-            assert vstate.owner in vstate.copies
+        assert len(copies) >= 1, f"var {var.vid} lost its last copy"
+        if owner != -1:
+            assert owner in copies
     for mem in rt.memory.mems:
         assert mem.used_bytes == sum(mem._entries.values())
 
@@ -94,10 +96,11 @@ def test_fixed_home_eviction_invariants(seed, alpha, read_frac, cap):
 def test_dynrep_eviction_invariants(seed, alpha, cap):
     res, rt = run_under_pressure("dynrep", seed, alpha, 0.8, cap)
     strat = rt.strategy
-    for vid, vstate in strat._states.items():
-        assert len(vstate.copies) >= 1
-        if vstate.owner != -1:
-            assert vstate.owner in vstate.copies
+    for var in rt.registry:
+        copies, owner = strat.copy_procs(var), strat.owner_of(var)
+        assert len(copies) >= 1
+        if owner != -1:
+            assert owner in copies
     for mem in rt.memory.mems:
         assert mem.used_bytes == sum(mem._entries.values())
 

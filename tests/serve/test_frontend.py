@@ -94,3 +94,34 @@ class TestLongLivedConnection:
 
         held, finished = asyncio.run(main())
         assert finished == [] and len(held) == 0
+
+
+class TestOversizeLine:
+    def test_oversize_line_is_answered_then_closed(self):
+        """A request line past the stream limit gets one error reply and
+        a clean close, not a silent EOF; the server keeps serving."""
+
+        async def main():
+            sess = ServeSession(Mesh2D(2, 2), "fixed-home", seed=0)
+            fe = await ServeFrontend(sess, batch_interval=0.002).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", fe.port)
+            big = {"op": "stats", "pad": "x" * 70_000}
+            writer.write((json.dumps(big) + "\n").encode())
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            eof = await reader.read()
+            writer.close()
+            # A fresh connection is served as usual.
+            reader2, writer2 = await asyncio.open_connection("127.0.0.1", fe.port)
+            writer2.write(b'{"op": "stats"}\n')
+            await writer2.drain()
+            after = json.loads(await reader2.readline())
+            writer2.close()
+            await fe.aclose()
+            sess.close()
+            return reply, eof, after
+
+        reply, eof, after = asyncio.run(main())
+        assert reply["ok"] is False and "too long" in reply["error"]
+        assert eof == b""
+        assert after["ok"] is True

@@ -144,7 +144,8 @@ class TestClassicOnKernelEqualsFastPath:
         return sess, report, done
 
     @pytest.mark.parametrize("strategy", [
-        "4-ary", "fixed-home", "dynrep:threshold=2", "adaptive", "migratory",
+        "4-ary", "tree:4:remap=4", "fixed-home", "dynrep:threshold=2",
+        "adaptive", "migratory",
     ])
     def test_classic_on_kernel_matches_fast_path(self, ckernel, strategy):
         classic, classic_report, done = self._serve(strategy, callbacks=True)
@@ -153,3 +154,38 @@ class TestClassicOnKernelEqualsFastPath:
         assert len(done) == 240
         assert classic_report == fast_report  # exact, field by field
         assert classic.trace().ops == fast.trace().ops
+
+    @staticmethod
+    def _serve_growing(strategy, callbacks):
+        """Creates interleaved with pumps, well past 256 variables (the
+        residency store's initial capacity), so the store grows while the
+        kernel is armed."""
+        sess = ServeSession(Mesh2D(4, 4), strategy, seed=0, record=False)
+        for vid in range(8):
+            sess.create(vid % 16, 128)
+        done = []
+        on_done = (lambda it, t, v: done.append(t)) if callbacks else None
+        for i in range(640):
+            if i % 2 == 0:
+                sess.create((7 * i) % 16, 64 + i % 3 * 64)
+            n_vars = sess.created
+            vid = (i * i + 3 * i) % n_vars if i % 3 else n_vars - 1
+            sess.submit("w" if i % 5 == 0 else "r", (5 * i + 3) % 16, vid,
+                        arrival=i * 1.5e-4, on_done=on_done)
+            if i % 40 == 39:
+                sess.pump(until=i * 1.5e-4)
+        report = sess.close().as_dict()
+        for key in WALL_FIELDS:
+            report.pop(key)
+        return sess, report, done
+
+    @pytest.mark.parametrize("strategy", [
+        "4-ary", "tree:4:remap=4", "fixed-home", "adaptive", "migratory",
+    ])
+    def test_creates_after_first_pump_past_store_capacity(self, ckernel, strategy):
+        classic, classic_report, done = self._serve_growing(strategy, callbacks=True)
+        fast, fast_report, _ = self._serve_growing(strategy, callbacks=False)
+        assert (classic._mode, fast._mode) == ("classic", "fast")
+        assert fast.created == 328
+        assert len(done) == 640
+        assert classic_report == fast_report  # exact, field by field

@@ -31,6 +31,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="processor"):
             sess.submit("r", 99, 0)
 
+    @pytest.mark.parametrize("strategy", ["4-ary", "fixed-home"])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_create_on_bad_processor_rejected_untouched(self, strategy, record):
+        """Nothing -- registry, strategy, recorder -- sees a create for a
+        processor outside the machine, and the session keeps serving."""
+        sess = ServeSession(Mesh2D(4, 4), strategy, record=record)
+        sess.create(3, 64)
+        for bad in (-1, sess.n_procs):
+            with pytest.raises(ValueError, match="processor"):
+                sess.create(bad, 64)
+            assert len(sess.rt.registry) == 1 and sess.created == 1
+        sess.submit("r", 5, 0)
+        sess.submit("w", 1, 0)
+        report = sess.close()
+        assert (report.requests, report.created) == (2, 1)
+        if record:
+            assert sess.trace().creates() == [(0, 3, 64)]
+
     def test_bad_vid_rejected(self):
         sess = make_session()
         with pytest.raises(ValueError, match="variable"):
